@@ -1,8 +1,10 @@
 """Insertion traces against the worked examples, plus structural properties."""
 
+from bisect import bisect_left, bisect_right
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superwalk import (
     AlgebraKind,
@@ -18,7 +20,8 @@ from superwalk import (
     weight_of,
     words_with_recording,
 )
-from superwalk.insertion import insertion_trace
+from superwalk.errors import InvalidInputError
+from superwalk.insertion import RskPair, _stream, insertion_trace, rsk_inverse
 from superwalk.tableaux import StandardTableau, enumerate_standard, enumerate_tableaux
 
 KE4 = AlgebraKind.empty(4)
@@ -164,14 +167,104 @@ def test_weight_preservation_randomized_long_words():
 
 
 def test_rsk_inverse_roundtrip():
-    from superwalk.insertion import rsk_inverse
-
     ke = AlgebraKind.empty(3)
     for L in range(6):
         for w in product(ke.alphabet, repeat=L):
             assert rsk_inverse(ke, rsk(ke, w)) == w
     with pytest.raises(Exception):
         rsk_inverse(AlgebraKind.strict(3), rsk(AlgebraKind.strict(3), (1, 2)))
+
+
+def test_rsk_inverse_rejects_malformed_pairs():
+    ke3 = AlgebraKind.empty(3)
+    malformed = [
+        (((2,), (1,)), ((1,), (1, 1))),  # column not increasing
+        (((1, 9),), ((1,), (2,))),  # letter outside the alphabet
+        (((2, 1),), ((1,), (2,))),  # row not weakly increasing
+        (((1, 2),), ((1,), (1,), (2,))),  # a chain step adding no box
+    ]
+    for rows, chain in malformed:
+        pair = RskPair(Tableau(ke3, rows), StandardTableau(chain))
+        with pytest.raises(InvalidInputError):
+            rsk_inverse(ke3, pair)
+
+
+ORACLE_KINDS = [
+    AlgebraKind.empty(3),
+    AlgebraKind.empty(5),
+    AlgebraKind.hook(2, 2),
+    AlgebraKind.hook(1, 3),
+    AlgebraKind.hook(3, 1),
+    AlgebraKind.strict(3),
+    AlgebraKind.strict(4),
+]
+
+
+@st.composite
+def long_words(draw, kind, max_length):
+    length = draw(st.integers(0, max_length))
+    letters = st.sampled_from(kind.alphabet)
+    return tuple(draw(st.lists(letters, min_size=length, max_size=length)))
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS, ids=lambda k: k.describe())
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_streaming_insertion_matches_per_letter_oracle(kind, data):
+    word = data.draw(long_words(kind, 300))
+    trace = insertion_trace(kind, word)
+    chain = tuple(t.shape for t in trace)
+    p = trace[-1] if trace else Tableau(kind, ())
+    assert pitman(kind, word) == chain
+    assert q_tableau(kind, word) == StandardTableau(chain)
+    assert p_tableau(kind, word) == p
+    assert rsk(kind, word) == RskPair(p, StandardTableau(chain))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rsk_inverse_roundtrip_long_words(data):
+    ke = AlgebraKind.empty(data.draw(st.integers(1, 5)))
+    word = data.draw(long_words(ke, 200))
+    assert rsk_inverse(ke, rsk(ke, word)) == word
+
+
+@pytest.mark.parametrize("kind", [AlgebraKind.empty(3), AlgebraKind.hook(2, 2)],
+                         ids=lambda k: k.describe())
+def test_column_runs_stay_merged(kind):
+    # neighbouring runs never hold equal columns, so the number of runs, and
+    # with it the cost of a letter, does not grow with the word
+    import random
+
+    rng = random.Random(7)
+    word = tuple(rng.choice(kind.alphabet) for _ in range(2000))
+    runs = _stream(kind, word)[0].runs
+    assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+    assert sum(len(col) * count for col, count in runs) == len(word)
+    assert len(runs) < 20
+
+
+def _longest_subsequence(word, strict):
+    """Patience sorting: longest strictly (or weakly) increasing subsequence."""
+    tops: list[int] = []
+    for x in word:
+        i = (bisect_left if strict else bisect_right)(tops, x)
+        tops[i:i + 1] = [x]
+    return len(tops)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(2, 4), st.integers(0, 2000), st.randoms(use_true_random=False))
+def test_greene_shape_of_long_words(n, length, rng):
+    # column insertion: the first row is the longest weakly decreasing
+    # subsequence and the number of rows the longest strictly increasing one
+    ke = AlgebraKind.empty(n)
+    word = tuple(rng.randint(1, n) for _ in range(length))
+    chain = pitman(ke, word)
+    shape = chain[-1] if chain else ()
+    assert len(chain) == length
+    assert (shape[0] if shape else 0) == _longest_subsequence([-x for x in word], False)
+    assert len(shape) == _longest_subsequence(word, True)
 
 
 def test_every_intermediate_tableau_is_valid():
