@@ -46,8 +46,7 @@ from .tableaux import (
 )
 from .insertion import (
     RskPair,
-    insert_empty,
-    insert_hook,
+    insert_column,
     insert_strict,
     p_tableau,
     pitman,
@@ -81,7 +80,6 @@ from .multiplicities import (
     verify_m_le_K,
 )
 from .markov import (
-    GreenTable,
     TransitionKernel,
     doob_transform,
     green,

@@ -169,7 +169,10 @@ class SparseCharacter:
         return total
 
 
+# Insertion-ordered, so the first key is the oldest; bounded so that a
+# long-running process does not grow it without limit.
 _char_poly_cache: dict[tuple[AlgebraKind, Shape], SparseCharacter] = {}
+_CHAR_POLY_CACHE_SIZE = 1024
 
 
 def character_polynomial(
@@ -193,6 +196,8 @@ def character_polynomial(
         w = tab.weight()
         terms[w] = terms.get(w, 0) + 1
     poly = SparseCharacter(terms)
+    if len(_char_poly_cache) >= _CHAR_POLY_CACHE_SIZE:
+        del _char_poly_cache[next(iter(_char_poly_cache))]
     _char_poly_cache[key] = poly
     return poly
 

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 internal check failed, 2 bad input, 3 resource
 budget exceeded.  Rationals are serialized as "num/den" strings; floats
 appear only in Monte Carlo estimate columns.  Defaults can be overridden by
-SUPERWALK_* environment variables.  Output is written atomically when
---output is given.
+SUPERWALK_* environment variables, which are checked by the same argparse
+types as the flags.  Output is written atomically when --output is given.
 """
 
 from __future__ import annotations
@@ -18,13 +18,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .characters import (
-    ProbVector,
-    schur_by_tableaux,
-    schur_weyl_empty,
-    schur_weyl_hook,
-    schur_weyl_strict,
-)
+from .characters import ProbVector, character_value
 from .errors import (
     BudgetExceededError,
     InvalidInputError,
@@ -61,31 +55,49 @@ EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _env_default(name: str, fallback):
-    value = os.environ.get(f"SUPERWALK_{name}")
-    if value is None:
-        return fallback
-    return type(fallback)(value) if fallback is not None else value
+def _int_at_least(low: int):
+    """Argparse type for an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
-def _add_common(parser: argparse.ArgumentParser, kinded: bool = True):
+POSITIVE = _int_at_least(1)
+NONNEGATIVE = _int_at_least(0)
+
+
+def _int_tuple(text: str) -> tuple[int, ...]:
+    """Argparse type for integers separated by commas or spaces."""
+    try:
+        return tuple(int(t) for t in text.replace(",", " ").split())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers such as 1,0, got {text!r}") from None
+
+
+def _add_common(parser: argparse.ArgumentParser, native: str, kinded: bool = True):
+    # SUPERWALK_* defaults stay strings: argparse runs string defaults
+    # through ``type``, so they are checked exactly like the flags.
     if kinded:
         parser.add_argument("--kind", choices=(EMPTY, HOOK, STRICT), required=True)
         parser.add_argument("--n", type=int, required=True)
         parser.add_argument("--m", type=int, default=0, help="barred rank (hook kind only)")
-    parser.add_argument("--budget", type=int, default=_env_default("BUDGET", 8))
-    parser.add_argument("--output", default=_env_default("OUTPUT", None))
+    parser.add_argument("--budget", type=POSITIVE, default=os.environ.get("SUPERWALK_BUDGET", "8"))
+    parser.add_argument("--output", default=os.environ.get("SUPERWALK_OUTPUT"))
     parser.add_argument(
         "--format",
         choices=("json", "csv"),
-        default=_env_default("FORMAT", None),
+        default=os.environ.get("SUPERWALK_FORMAT"),
         help="output format; each command has one native format",
     )
-
-
-def _check_format(args, native: str):
-    if args.format is not None and args.format != native:
-        raise InvalidInputError(f"this command emits {native} output only")
+    parser.set_defaults(native=native)
 
 
 def _kind_from(args) -> AlgebraKind:
@@ -96,10 +108,6 @@ def _kind_from(args) -> AlgebraKind:
     if args.m:
         raise InvalidInputError("--m is meaningful only for --kind hook")
     return AlgebraKind(args.kind, args.n)
-
-
-def _prob_from(kind: AlgebraKind, text: str) -> ProbVector:
-    return ProbVector.parse(kind, text)
 
 
 def _emit(args, text: str):
@@ -138,7 +146,6 @@ def _csv_text(header: list[str], rows: list[list], comments: list[str] = ()) -> 
 # ---------------------------------------------------------------------------
 
 def cmd_rsk(args) -> int:
-    _check_format(args, "json")
     kind = _kind_from(args)
     word = parse_word(kind, args.word)
     pair = rsk(kind, word)
@@ -157,7 +164,6 @@ def cmd_rsk(args) -> int:
 
 
 def cmd_pitman(args) -> int:
-    _check_format(args, "json")
     kind = _kind_from(args)
     word = parse_word(kind, args.word)
     chain = pitman(kind, word)
@@ -169,24 +175,15 @@ def cmd_pitman(args) -> int:
 
 
 def cmd_char(args) -> int:
-    _check_format(args, "json")
     kind = _kind_from(args)
     shape = parse_shape(kind, args.shape)
-    p = _prob_from(kind, args.p)
-    values = {}
-    if args.route in ("tableaux", "both"):
-        values["tableaux"] = schur_by_tableaux(kind, shape, p, budget=args.budget)
-    if args.route in ("weyl", "both"):
-        if kind.kind == EMPTY:
-            values["weyl"] = schur_weyl_empty(kind, shape, p)
-        elif kind.kind == HOOK:
-            values["weyl"] = schur_weyl_hook(kind, shape, p)
-        else:
-            values["weyl"] = schur_weyl_strict(kind, shape, p)
-    agreement = None
-    if len(values) == 2:
-        agreement = values["tableaux"] == values["weyl"]
-    value = values.get("tableaux", values.get("weyl"))
+    p = ProbVector.parse(kind, args.p)
+    routes = ("tableaux", "weyl") if args.route == "both" else (args.route,)
+    values = [
+        character_value(kind, shape, p.values, route=route, budget=args.budget)
+        for route in routes
+    ]
+    agreement = values[0] == values[1] if len(values) == 2 else None
     _emit_json(
         args,
         {
@@ -196,7 +193,7 @@ def cmd_char(args) -> int:
             "shape": shape_to_json(shape),
             "p": p.to_json(),
             "route": args.route,
-            "value": format_rational(value),
+            "value": format_rational(values[0]),
             "route_agreement": agreement,
         },
     )
@@ -204,7 +201,6 @@ def cmd_char(args) -> int:
 
 
 def cmd_multiplicity(args) -> int:
-    _check_format(args, "json")
     kind = _kind_from(args)
     kappa = parse_shape(kind, args.kappa)
     mu = parse_shape(kind, args.mu)
@@ -233,10 +229,9 @@ def cmd_multiplicity(args) -> int:
 
 
 def cmd_exit_prob(args) -> int:
-    _check_format(args, "csv")
     kind = _kind_from(args)
     shape = parse_shape(kind, args.shape)
-    p = _prob_from(kind, args.p)
+    p = ProbVector.parse(kind, args.p)
     closed = stay_probability(kind, shape, p)
     rows = []
     for horizon in range(1, args.horizon + 1):
@@ -250,9 +245,8 @@ def cmd_exit_prob(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _check_format(args, "csv")
     kind = _kind_from(args)
-    p = _prob_from(kind, args.p)
+    p = ProbVector.parse(kind, args.p)
     rng = RngStream(args.seed)
     if args.experiment == "letters":
         report = estimate_letter_frequencies(kind, p, args.paths, args.length, rng)
@@ -299,12 +293,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_llt(args) -> int:
-    _check_format(args, "csv")
     kind = _kind_from(args)
-    p = _prob_from(kind, args.p)
+    p = ProbVector.parse(kind, args.p)
     if args.mode == "quotient":
-        gamma = tuple(int(t) for t in args.gamma.replace(",", " ").split())
-        report = quotient_llt_experiment(kind, p, gamma, args.lmax)
+        report = quotient_llt_experiment(kind, p, args.gamma, args.lmax)
     else:
         mu = parse_shape(kind, args.mu)
         report = asympt_multiplicity_experiment(kind, p, mu, args.lmax)
@@ -321,17 +313,13 @@ def cmd_llt(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_format(args, "json")
     overrides = {
         "n": args.n,
         "m": args.m,
         "length": args.length,
         "budget": args.budget,
     }
-    try:
-        failures = run_suite(args.suite, **overrides)
-    except KeyError:
-        raise InvalidInputError(f"unknown suite {args.suite!r}")
+    failures = run_suite(args.suite, **overrides)
     _emit_json(
         args,
         {
@@ -355,9 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"superwalk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    horizon = os.environ.get("SUPERWALK_HORIZON", "30")
 
     p_rsk = sub.add_parser("rsk", help="insertion and recording tableaux of a word")
-    _add_common(p_rsk)
+    _add_common(p_rsk, "json")
     p_rsk.add_argument(
         "word",
         help="word such as 232143 or -23-2 (barred letters negative; place a "
@@ -366,66 +355,69 @@ def build_parser() -> argparse.ArgumentParser:
     p_rsk.set_defaults(func=cmd_rsk)
 
     p_pit = sub.add_parser("pitman", help="prefix shape sequence of a word as JSON lines")
-    _add_common(p_pit)
+    _add_common(p_pit, "json")
     p_pit.add_argument("word")
     p_pit.set_defaults(func=cmd_pitman)
 
     p_char = sub.add_parser("char", help="exact character evaluation")
-    _add_common(p_char)
+    _add_common(p_char, "json")
     p_char.add_argument("--shape", required=True)
     p_char.add_argument("--p", required=True, help='rationals such as "1/2,1/3,1/6"')
     p_char.add_argument("--route", choices=("tableaux", "weyl", "both"), default="both")
     p_char.set_defaults(func=cmd_char)
 
     p_mult = sub.add_parser("multiplicity", help="tensor product decomposition")
-    _add_common(p_mult)
+    _add_common(p_mult, "json")
     p_mult.add_argument("--kappa", required=True)
     p_mult.add_argument("--mu", required=True)
     p_mult.set_defaults(func=cmd_multiplicity)
 
     p_exit = sub.add_parser("exit-prob", help="stay probabilities, closed form and truncated")
-    _add_common(p_exit)
+    _add_common(p_exit, "csv")
     p_exit.add_argument("--shape", default="0")
     p_exit.add_argument("--p", required=True)
-    p_exit.add_argument("--horizon", type=int, default=_env_default("HORIZON", 30))
+    p_exit.add_argument("--horizon", type=NONNEGATIVE, default=horizon)
     p_exit.set_defaults(func=cmd_exit_prob)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo experiments with exact references")
-    _add_common(p_sim)
+    _add_common(p_sim, "csv")
     p_sim.add_argument("--p", required=True)
     p_sim.add_argument(
         "--experiment", choices=("letters", "shape-law", "conditioned"), default="letters"
     )
-    p_sim.add_argument("--paths", type=int, default=10000)
-    p_sim.add_argument("--length", type=int, default=_env_default("LENGTH", 4))
-    p_sim.add_argument("--horizon", type=int, default=_env_default("HORIZON", 30))
-    p_sim.add_argument("--seed", type=int, default=_env_default("SEED", 20120214))
+    p_sim.add_argument("--paths", type=POSITIVE, default=10000)
+    p_sim.add_argument("--length", type=POSITIVE, default=os.environ.get("SUPERWALK_LENGTH", "4"))
+    p_sim.add_argument("--horizon", type=NONNEGATIVE, default=horizon)
+    p_sim.add_argument("--seed", type=int, default=os.environ.get("SUPERWALK_SEED", "20120214"))
     p_sim.set_defaults(func=cmd_simulate)
 
     p_llt = sub.add_parser("llt", help="exact-DP drift trend experiments")
-    _add_common(p_llt)
+    _add_common(p_llt, "csv")
     p_llt.add_argument("--p", required=True)
     p_llt.add_argument("--mode", choices=("quotient", "asympt"), default="quotient")
-    p_llt.add_argument("--gamma", default="1,0", help="fixed weight for the quotient mode")
+    p_llt.add_argument(
+        "--gamma", type=_int_tuple, default="1,0", help="fixed weight for the quotient mode"
+    )
     p_llt.add_argument("--mu", default="1", help="shape for the asympt mode")
-    p_llt.add_argument("--lmax", type=int, default=40)
+    p_llt.add_argument("--lmax", type=POSITIVE, default=40)
     p_llt.set_defaults(func=cmd_llt)
 
     p_verify = sub.add_parser("verify", help="run a named exhaustive identity suite")
     p_verify.add_argument("suite", choices=SUITE_NAMES)
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--m", type=int, default=None)
-    p_verify.add_argument("--length", type=int, default=None)
-    _add_common(p_verify, kinded=False)
+    p_verify.add_argument("--length", type=POSITIVE, default=None)
+    _add_common(p_verify, "json", kinded=False)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.format not in (None, args.native):
+            raise InvalidInputError(f"this command emits {args.native} output only")
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"superwalk: budget exceeded: {exc}", file=sys.stderr)
@@ -439,6 +431,10 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except InvalidInputError as exc:
         print(f"superwalk: bad input: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except OSError as exc:
+        # the commands compute in memory; their only I/O is writing the output
+        print(f"superwalk: cannot write output: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except SuperwalkError as exc:
         print(f"superwalk: internal check failed: {exc}", file=sys.stderr)

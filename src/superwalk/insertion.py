@@ -25,9 +25,10 @@ only when asked, once, at the end:
   per row.
 
 Each letter then costs time independent of the word length, apart from
-copying the shape into the chain.  The per-letter ``insert_*`` functions and
-``insertion_trace`` rebuild a frozen tableau for every letter; they stay as
-the reference the streaming state is tested against.
+copying the shape into the chain.  The per-letter ``insert_column`` (empty
+and hook kinds) and ``insert_strict``, and ``insertion_trace`` over them,
+rebuild a frozen tableau for every letter; they stay as the reference the
+streaming state is tested against.
 """
 
 from __future__ import annotations
@@ -119,18 +120,11 @@ def _insert_columns(kind: AlgebraKind, rows, x: int) -> tuple[tuple[int, ...], .
         j += 1
 
 
-def insert_empty(tab: Tableau, x: int) -> Tableau:
-    """Column insertion for gl(n)-tableaux."""
-    if tab.kind.kind != EMPTY:
-        raise InvalidInputError("insert_empty expects an empty-kind tableau")
-    tab.kind.letter_index(x)
-    return Tableau(tab.kind, _insert_columns(tab.kind, tab.rows, x))
-
-
-def insert_hook(tab: Tableau, x: int) -> Tableau:
-    """Column insertion for gl(m,n)-tableaux with the barred/unbarred cases."""
-    if tab.kind.kind != HOOK:
-        raise InvalidInputError("insert_hook expects a hook-kind tableau")
+def insert_column(tab: Tableau, x: int) -> Tableau:
+    """Column insertion for gl(n)- and gl(m,n)-tableaux; hook-kind letters
+    bump by the barred/unbarred cases."""
+    if tab.kind.kind == STRICT:
+        raise InvalidInputError("insert_column expects an empty- or hook-kind tableau")
     tab.kind.letter_index(x)
     return Tableau(tab.kind, _insert_columns(tab.kind, tab.rows, x))
 
@@ -162,11 +156,9 @@ def insert_strict(tab: Tableau, x: int) -> Tableau:
 
 
 def insert(kind: AlgebraKind, tab: Tableau, x: int) -> Tableau:
-    if kind.kind == EMPTY:
-        return insert_empty(tab, x)
-    if kind.kind == HOOK:
-        return insert_hook(tab, x)
-    return insert_strict(tab, x)
+    if kind.kind == STRICT:
+        return insert_strict(tab, x)
+    return insert_column(tab, x)
 
 
 # ---------------------------------------------------------------------------

@@ -155,22 +155,6 @@ def green(kind: AlgebraKind, p: ProbVector, mu: Sequence[int], lam: Sequence[int
     return frontier.get(lam, Fraction(0))
 
 
-class GreenTable:
-    """Memoized Green-function values for one (kind, p) pair."""
-
-    def __init__(self, kind: AlgebraKind, p: ProbVector):
-        self.kind = kind
-        self.p = p
-        self._table: dict[tuple[Shape, Shape], Fraction] = {}
-
-    def value(self, mu: Sequence[int], lam: Sequence[int]) -> Fraction:
-        key = (check_shape(self.kind, mu), check_shape(self.kind, lam))
-        got = self._table.get(key)
-        if got is None:
-            got = self._table[key] = green(self.kind, self.p, *key)
-        return got
-
-
 def martin_kernel(
     kind: AlgebraKind, p: ProbVector, mu: Sequence[int], lam: Sequence[int]
 ) -> Fraction:

@@ -172,6 +172,48 @@ def sample_shape_chain(
     return tuple(out)
 
 
+def _accepted_prefixes(
+    kind: AlgebraKind,
+    p: ProbVector,
+    length: int,
+    horizon: int,
+    paths: int,
+    limit: int,
+    rng: RngStream,
+):
+    """The rejection loop of both conditioned samplers.
+
+    Yields ``(attempts so far, first length weights)`` for each of the first
+    ``paths`` walks that stay in the shape lattice up to the horizon; raises
+    :class:`SamplingFailureError` once ``limit`` attempts were spent first.
+    """
+    if horizon < length:
+        raise InvalidInputError("horizon must be at least the requested length")
+    require_condition(p)
+    cum = _cumulative(list(enumerate(p.values)))
+    accepted = attempts = 0
+    while accepted < paths:
+        if attempts >= limit:
+            raise SamplingFailureError(
+                f"only {accepted} accepted paths in {attempts} attempts",
+                attempts=attempts,
+                accepted=accepted,
+            )
+        attempts += 1
+        weight = [0] * kind.N
+        prefix: list[Weight] = []
+        for step in range(horizon):
+            i = _pick(cum, rng.draw_bits())
+            weight[i] += 1
+            if not in_semigroup(kind, weight):
+                break
+            if step < length:
+                prefix.append(tuple(weight))
+        else:
+            accepted += 1
+            yield attempts, prefix
+
+
 def sample_conditioned_walk(
     kind: AlgebraKind,
     p: ProbVector,
@@ -182,28 +224,8 @@ def sample_conditioned_walk(
 ) -> tuple[Shape, ...]:
     """Rejection-sample the walk conditioned to stay in the shape lattice
     up to the horizon; returns the first ``length`` shapes."""
-    if horizon < length:
-        raise InvalidInputError("horizon must be at least the requested length")
-    require_condition(p)
-    cum = _cumulative(list(enumerate(p.values)))
-    attempts = 0
-    while attempts < max_attempts:
-        attempts += 1
-        weight = [0] * kind.N
-        trail: list[Weight] = []
-        alive = True
-        for _ in range(horizon):
-            i = _pick(cum, rng.draw_bits())
-            weight[i] += 1
-            if not in_semigroup(kind, weight):
-                alive = False
-                break
-            trail.append(tuple(weight))
-        if alive:
-            return tuple(shape_from_weight(kind, w) for w in trail[:length])
-    raise SamplingFailureError(
-        f"no accepted path in {max_attempts} attempts", attempts=max_attempts, accepted=0
-    )
+    _, prefix = next(_accepted_prefixes(kind, p, length, horizon, 1, max_attempts, rng))
+    return tuple(shape_from_weight(kind, w) for w in prefix)
 
 
 @dataclass(frozen=True)
@@ -230,36 +252,11 @@ def sample_conditioned_ensemble(
     max_attempts: int | None = None,
 ) -> ConditionedEnsemble:
     """Collect transitions over the first ``length`` steps of many accepted paths."""
-    if horizon < length:
-        raise InvalidInputError("horizon must be at least the requested length")
-    require_condition(p)
-    cum = _cumulative(list(enumerate(p.values)))
     limit = max_attempts if max_attempts is not None else 400 * paths
     transition_counts: dict[tuple[Shape, Shape], int] = {}
     visit_counts: dict[Shape, int] = {}
-    accepted = 0
-    attempts = 0
-    while accepted < paths:
-        if attempts >= limit:
-            raise SamplingFailureError(
-                f"only {accepted} accepted paths in {attempts} attempts",
-                attempts=attempts,
-                accepted=accepted,
-            )
-        attempts += 1
-        weight = [0] * kind.N
-        prefix: list[Weight] = []
-        alive = True
-        for step in range(horizon):
-            i = _pick(cum, rng.draw_bits())
-            weight[i] += 1
-            if not in_semigroup(kind, weight):
-                alive = False
-                break
-            if step < length:
-                prefix.append(tuple(weight))
-        if not alive:
-            continue
+    accepted = attempts = 0
+    for attempts, prefix in _accepted_prefixes(kind, p, length, horizon, paths, limit, rng):
         accepted += 1
         prev: Shape = ()
         for w in prefix:

@@ -13,16 +13,13 @@ from typing import Callable
 
 from .characters import (
     ProbVector,
+    character_value,
     psi,
     schur,
-    schur_by_tableaux,
-    schur_weyl_empty,
-    schur_weyl_hook,
-    schur_weyl_strict,
     weyl_route_applicable,
 )
 from .insertion import pitman, rsk
-from .kinds import EMPTY, HOOK, AlgebraKind, pi_weight, shape_size, successors
+from .kinds import AlgebraKind, contains, shape_size, successors
 from .markov import doob_transform, pi_restricted, pi_shape, stay_probability
 from .multiplicities import (
     decompose_product,
@@ -32,17 +29,6 @@ from .multiplicities import (
     shapes_of_size,
 )
 from .tableaux import enumerate_standard, enumerate_tableaux
-
-SUITE_NAMES = (
-    "rsk-bijection",
-    "characters-dual-route",
-    "markov-law",
-    "pieri",
-    "lr-hook",
-    "dec-skew",
-    "dim2",
-)
-
 
 def condition_points(kind: AlgebraKind, count: int = 3) -> list[ProbVector]:
     """Deterministic strictly decreasing probability vectors."""
@@ -100,15 +86,10 @@ def suite_characters_dual_route(n: int = 3, m: int = 2, budget: int = 6) -> list
     for kind in kinds:
         for p in condition_points(kind):
             for lam in shapes_up_to(kind, budget):
-                tab_value = schur_by_tableaux(kind, lam, p, budget=budget)
+                tab_value = character_value(kind, lam, p.values, route="tableaux", budget=budget)
                 if not weyl_route_applicable(kind, lam, p.values):
                     continue
-                if kind.kind == EMPTY:
-                    weyl_value = schur_weyl_empty(kind, lam, p)
-                elif kind.kind == HOOK:
-                    weyl_value = schur_weyl_hook(kind, lam, p)
-                else:
-                    weyl_value = schur_weyl_strict(kind, lam, p)
+                weyl_value = character_value(kind, lam, p.values, route="weyl")
                 if tab_value != weyl_value:
                     failures.append(
                         f"{kind.describe()} {lam} at p={p.to_json()}: tableaux {tab_value} != weyl {weyl_value}"
@@ -161,7 +142,7 @@ def suite_lr_hook(n: int = 2, m: int = 2, budget: int = 6) -> list[str]:
     kind = AlgebraKind.hook(m, n)
     for lam in shapes_up_to(kind, budget):
         for kappa in shapes_up_to(kind, shape_size(lam)):
-            if not all(x >= y for x, y in zip(pi_weight(kind, lam), pi_weight(kind, kappa))):
+            if not contains(kind, lam, kappa):
                 continue
             rest = shape_size(lam) - shape_size(kappa)
             for mu in shapes_of_size(kind, rest):
@@ -179,7 +160,7 @@ def suite_dec_skew(n: int = 2, m: int = 1, budget: int = 5) -> list[str]:
     for kind in _default_kinds(n, m):
         for lam in shapes_up_to(kind, budget):
             for nu in shapes_up_to(kind, shape_size(lam)):
-                if not all(x >= y for x, y in zip(pi_weight(kind, lam), pi_weight(kind, nu))):
+                if not contains(kind, lam, nu):
                     continue
                 if not dec_skew_identity(kind, lam, nu, budget=budget):
                     failures.append(f"{kind.describe()}: dec-skew failure at {lam}/{nu}")
@@ -210,19 +191,22 @@ def suite_dim2(length: int = 8) -> list[str]:
     return failures
 
 
+SUITES: dict[str, Callable[..., list[str]]] = {
+    "rsk-bijection": suite_rsk_bijection,
+    "characters-dual-route": suite_characters_dual_route,
+    "markov-law": suite_markov_law,
+    "pieri": suite_pieri,
+    "lr-hook": suite_lr_hook,
+    "dec-skew": suite_dec_skew,
+    "dim2": suite_dim2,
+}
+SUITE_NAMES = tuple(SUITES)
+
+
 def run_suite(name: str, **overrides) -> list[str]:
-    table: dict[str, Callable[..., list[str]]] = {
-        "rsk-bijection": suite_rsk_bijection,
-        "characters-dual-route": suite_characters_dual_route,
-        "markov-law": suite_markov_law,
-        "pieri": suite_pieri,
-        "lr-hook": suite_lr_hook,
-        "dec-skew": suite_dec_skew,
-        "dim2": suite_dim2,
-    }
-    if name not in table:
-        raise KeyError(name)
-    func = table[name]
+    """Run the named suite with the overrides its signature takes; ``None``
+    values keep the suite's defaults.  Raises ``KeyError`` for an unknown name."""
+    func = SUITES[name]
     accepted = {
         k: v for k, v in overrides.items()
         if v is not None and k in inspect.signature(func).parameters

@@ -190,3 +190,17 @@ def test_require_condition():
     with pytest.raises(InvalidInputError):
         require_condition(ProbVector.parse(KE2, "1/2,1/2"))
     require_condition(P2)
+
+
+def test_character_polynomial_cache_evicts_oldest(monkeypatch):
+    from superwalk import characters
+
+    monkeypatch.setattr(characters, "_char_poly_cache", {})
+    monkeypatch.setattr(characters, "_CHAR_POLY_CACHE_SIZE", 3)
+    shapes = [(1,), (2,), (1, 1), (3,), (2, 1)]
+    polys = [character_polynomial(KE3, lam) for lam in shapes]
+    assert list(characters._char_poly_cache) == [(KE3, lam) for lam in shapes[-3:]]
+    assert character_polynomial(KE3, (3,)) is polys[3]
+    # an evicted shape is recomputed to the same polynomial
+    assert character_polynomial(KE3, (1,)).terms == polys[0].terms
+    assert list(characters._char_poly_cache) == [(KE3, lam) for lam in shapes[-2:] + [(1,)]]

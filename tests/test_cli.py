@@ -1,10 +1,15 @@
 """Command-line surface: golden outputs, schemas, exit codes, determinism."""
 
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from superwalk.cli import main
 
@@ -179,3 +184,188 @@ def test_help_on_every_command(capsys):
             main([command, "--help"])
         assert info.value.code == 0
         assert "usage" in capsys.readouterr().out
+
+
+P2_ARGS = ["--kind", "empty", "--n", "2", "--p", "2/3,1/3"]
+BAD_INPUTS = {
+    "budget-env-not-int": (["simulate", *P2_ARGS], {"SUPERWALK_BUDGET": "abc"}),
+    "seed-env-not-int": (["simulate", *P2_ARGS], {"SUPERWALK_SEED": "x"}),
+    "zero-paths": (["simulate", *P2_ARGS, "--paths", "0"], {}),
+    "zero-length-letters": (["simulate", *P2_ARGS, "--length", "0"], {}),
+    "zero-length-shape-law": (
+        ["simulate", *P2_ARGS, "--experiment", "shape-law", "--length", "0"], {}
+    ),
+    "negative-length": (["simulate", *P2_ARGS, "--length", "-1"], {}),
+    "gamma-not-int": (["llt", *P2_ARGS, "--gamma", "x"], {}),
+    "zero-lmax": (["llt", *P2_ARGS, "--lmax", "0"], {}),
+    "negative-horizon": (["exit-prob", *P2_ARGS, "--horizon", "-3"], {}),
+    "output-dir-missing": (GOLDEN_COMMANDS["rsk_empty.json"] + ["--output", "{missing}"], {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_message(name, monkeypatch, capsys, tmp_path):
+    argv, env = BAD_INPUTS[name]
+    argv = [a.replace("{missing}", str(tmp_path / "missing" / "out.json")) for a in argv]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.strip() and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
+# Grammar of every subcommand for the fuzz test.  Valid values stay small
+# (n <= 3, words <= 8 letters, paths <= 20, horizon <= 8, lmax <= 6,
+# budget <= 4, verify at desk scale), so each call is cheap; junk tokens,
+# zero, negative and far-out integers replace about one value in ten.
+JUNK = st.sampled_from(["", "x", "1.5", "-", "--", "1/0", "nan", " ", "0x1", "1e3", "٣"])
+MISSING_OUTPUT = os.path.join(tempfile.gettempdir(), "superwalk-no-such-dir", "out")
+
+
+def _mostly(valid, other):
+    return st.integers(0, 9).flatmap(lambda k: other if k == 0 else valid)
+
+
+def _ints(high, low=1):
+    out_of_range = st.one_of(
+        st.sampled_from([str(low - 1), "-1"]), st.integers(-(10**30), low - 1).map(str), JUNK
+    )
+    return _mostly(st.integers(low, high).map(str), out_of_range)
+
+
+SEEDS = _mostly(st.integers(-(10**30), 10**30).map(str), JUNK)
+# (kind flags, alphabet size N, valid step laws for that kind)
+KINDS = [
+    (["--kind", "empty", "--n", "1"], 1, ["1"]),
+    (["--kind", "empty", "--n", "2"], 2, ["2/3,1/3", "3/4,1/4"]),
+    (["--kind", "empty", "--n", "3"], 3, ["1/2,1/3,1/6", "4/7,2/7,1/7"]),
+    (["--kind", "strict", "--n", "2"], 2, ["2/3,1/3", "3/5,2/5"]),
+    (["--kind", "strict", "--n", "3"], 3, ["1/2,1/3,1/6", "4/7,2/7,1/7"]),
+    (["--kind", "hook", "--m", "1", "--n", "1"], 2, ["2/3,1/3", "1/3,2/3"]),
+    (["--kind", "hook", "--m", "1", "--n", "2"], 3, ["1/2,1/3,1/6", "1/6,1/2,1/3"]),
+    (["--kind", "hook", "--m", "2", "--n", "1"], 3, ["1/2,1/3,1/6", "1/2,1/6,1/3"]),
+]
+BAD_KINDS = st.sampled_from([
+    ["--kind", "hook", "--n", "2"],
+    ["--kind", "empty", "--n", "2", "--m", "1"],
+    ["--kind", "empty", "--n", "0"],
+    ["--kind", "strict", "--n", "-1"],
+    ["--kind", "bogus", "--n", "2"],
+    ["--kind", "empty", "--n", "x"],
+    ["--kind", "empty"],
+    [],
+])
+BAD_PROBS = st.one_of(JUNK, st.sampled_from([
+    "1/3,1/3,1/3", "1/2,1/2", "1/3,2/3", "1,0", "0.6,0.4", "-1/2,3/2", "1/0,1", "2/3;1/3",
+    "1/2,1/4,1/8,1/8",
+]))
+SHAPES = _mostly(
+    st.lists(st.integers(0, 3), max_size=3).map(
+        lambda parts: ",".join(map(str, sorted(parts, reverse=True)))
+    ),
+    st.one_of(JUNK, st.sampled_from(["0", "()", "1,2", "-1", "2,2,2,2", "1,,1", "2 1"])),
+)
+WORDS = _mostly(
+    st.lists(st.sampled_from(["1", "2", "3", "-1", "-2"]), max_size=8).map(",".join),
+    st.one_of(JUNK, st.lists(st.sampled_from(["1", "4", "0", "-3", "-"]), max_size=8).map("".join)),
+)
+FORMATS = {"json": _mostly(st.just("json"), st.sampled_from(["csv", "xml"])),
+           "csv": _mostly(st.just("csv"), st.sampled_from(["json", "xml"]))}
+# SUPERWALK_HORIZON is always set: the default horizon of 30 is not cheap
+ENV = st.fixed_dictionaries({"SUPERWALK_HORIZON": _ints(8, low=0)}, optional={
+    "SUPERWALK_BUDGET": _ints(4),
+    "SUPERWALK_SEED": SEEDS,
+    "SUPERWALK_LENGTH": _ints(8),
+    "SUPERWALK_FORMAT": _mostly(st.just("csv"), st.sampled_from(["json", "xml", ""])),
+    "SUPERWALK_OUTPUT": _mostly(st.just(""), st.just(MISSING_OUTPUT)),
+})
+# (native format, flags always given, optional flags) of the kinded commands;
+# "P" stands for a step law of the drawn kind.  --paths and --lmax are always
+# given because their defaults are not cheap.
+GRAMMAR = {
+    "rsk": ("json", {}, {}),
+    "pitman": ("json", {}, {}),
+    "char": ("json", {"--shape": SHAPES, "--p": "P"},
+             {"--route": st.sampled_from(["tableaux", "weyl", "both", "x"])}),
+    "multiplicity": ("json", {"--kappa": SHAPES, "--mu": SHAPES}, {}),
+    "exit-prob": ("csv", {"--p": "P"}, {"--shape": SHAPES, "--horizon": _ints(8, low=0)}),
+    "simulate": ("csv", {"--p": "P", "--paths": _ints(20)}, {
+        "--experiment": st.sampled_from(["letters", "shape-law", "conditioned", "x"]),
+        "--length": _ints(8), "--horizon": _ints(8, low=0),
+        "--seed": SEEDS,
+    }),
+    "llt": ("csv", {"--p": "P", "--lmax": _ints(6)}, {
+        "--mode": st.sampled_from(["quotient", "asympt", "x"]),
+        "--gamma": _mostly(
+            st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(
+                lambda g: ",".join(map(str, g))
+            ),
+            JUNK,
+        ),
+        "--mu": SHAPES,
+    }),
+}
+SUITES = st.sampled_from([
+    "rsk-bijection", "characters-dual-route", "markov-law", "pieri", "lr-hook", "dec-skew",
+    "dim2", "x",
+])
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, environment) of one CLI call drawn from GRAMMAR."""
+    command = draw(st.sampled_from(sorted(GRAMMAR) + ["verify"]))
+    if command == "verify":
+        # every size flag is given, so no suite runs at its full default size
+        argv = ["verify", draw(SUITES), "--n", draw(_ints(2)), "--m", draw(_ints(2)),
+                "--length", draw(_ints(3)), "--budget", draw(_ints(4))]
+        native, optional = "json", {}
+    else:
+        native, required, optional = GRAMMAR[command]
+        kind_flags, size, laws = draw(st.sampled_from(KINDS))
+        kind_flags = draw(_mostly(st.just(kind_flags), BAD_KINDS))
+        argv = [command, *kind_flags]
+        for flag, values in required.items():
+            if values == "P":
+                values = _mostly(st.sampled_from(laws), BAD_PROBS)
+            argv += [flag, draw(values)]
+    optional = {**optional, "--budget": _ints(4), "--format": FORMATS[native]}
+    for flag in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
+        argv += [flag, draw(optional[flag])]
+    if draw(st.integers(0, 19)) == 0:
+        argv += ["--output", MISSING_OUTPUT]
+    if command in ("rsk", "pitman"):
+        argv += ["--", draw(WORDS)]
+    if draw(st.integers(0, 49)) == 0:
+        argv.insert(1, "--help")
+    return argv, draw(ENV)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cli_calls())
+def test_cli_fuzz_never_crashes(call):
+    argv, env = call
+    saved = {key: os.environ.pop(key) for key in list(os.environ) if key.startswith("SUPERWALK_")}
+    os.environ.update(env)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        for key in env:
+            del os.environ[key]
+        os.environ.update(saved)
+    assert code in (0, 1, 2, 3), (argv, env, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().strip(), (argv, env)

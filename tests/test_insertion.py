@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from superwalk import (
     AlgebraKind,
     Tableau,
-    insert_hook,
+    insert_column,
     insert_strict,
     is_valid_tableau,
     p_tableau,
@@ -81,8 +81,10 @@ def test_hook_kind_full_trace():
 
 def test_hook_one_step_example():
     before = Tableau(KH23, ((-2, -2), (3,)))
-    after = insert_hook(before, -1)
+    after = insert_column(before, -1)
     assert after.rows == ((-2, -2), (-1, 3))
+    with pytest.raises(InvalidInputError):
+        insert_column(Tableau(KS5, ((2,),)), 1)
 
 
 def test_strict_kind_full_trace():

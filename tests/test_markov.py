@@ -8,7 +8,6 @@ import pytest
 from superwalk import (
     AlgebraKind,
     ContractViolationError,
-    GreenTable,
     InvalidInputError,
     ProbVector,
     doob_transform,
@@ -159,12 +158,6 @@ def test_green_matches_skew_counts():
                     sub_weights(pi_weight(kind, lam), pi_weight(kind, mu))
                 )
                 assert green(kind, p, mu, lam) == expected
-
-
-def test_green_table_memoizes():
-    table = GreenTable(KE2, P2)
-    assert table.value((), (2, 1)) == green(KE2, P2, (), (2, 1))
-    assert table.value((), (2, 1)) == table.value((0,), (2, 1, 0))
 
 
 def test_martin_kernel_basics():

@@ -129,7 +129,8 @@ def test_conditioned_rejection_failure_reports_rate():
         sample_conditioned_ensemble(
             KE2, P2, 2, 25, paths=10**6, rng=RngStream(1), max_attempts=50
         )
-    assert info.value.attempts == 50
+    # pinned at the commit before the samplers shared their rejection loop
+    assert (info.value.attempts, info.value.accepted) == (50, 21)
     assert 0 <= info.value.acceptance_rate <= 1
 
 
@@ -209,3 +210,60 @@ def test_asympt_multiplicity_trends():
         assert abs(float(report.rows[-1].value) - float(limit)) < 0.05
     trivial = asympt_multiplicity_experiment(KE2, P2, (), 5)
     assert all(row.value == 1 for row in trivial.rows)
+
+
+KS3 = AlgebraKind.strict(3)
+# (kind, step law, three conditioned walks drawn in turn from RngStream(5)
+# with length 4 and horizon 8, the stream's next draw), fixed at the commit
+# before the two conditioned samplers shared their rejection loop
+PINNED_WALKS = (
+    (KE2, "2/3,1/3",
+     (((1,), (2,), (2, 1), (3, 1)), ((1,), (2,), (3,), (4,)), ((1,), (2,), (2, 1), (3, 1))),
+     9784980739387257313),
+    (KH11, "2/3,1/3",
+     (((1,), (2,), (2, 1), (3, 1)), ((1,), (2,), (3,), (4,)), ((1,), (2,), (2, 1), (3, 1))),
+     9784980739387257313),
+    (KS3, "4/7,2/7,1/7",
+     (((1,), (2,), (3,), (3, 1)), ((1,), (2,), (3,), (4,)), ((1,), (2,), (3,), (3, 1))),
+     27957844146986645),
+)
+# (kind, step law, attempts, transition counts, visit counts, the stream's
+# next draw) of an ensemble of 6 paths, length 3, horizon 8, RngStream(9)
+PINNED_ENSEMBLES = (
+    (KE2, "2/3,1/3", 11,
+     {((), (1,)): 6, ((1,), (2,)): 6, ((2,), (2, 1)): 4, ((2,), (3,)): 2},
+     {(): 6, (1,): 6, (2,): 6}, 8088220576422911903),
+    (KH11, "2/3,1/3", 10,
+     {((), (1,)): 6, ((1,), (2,)): 5, ((2,), (2, 1)): 3, ((2,), (3,)): 2,
+      ((1,), (1, 1)): 1, ((1, 1), (2, 1)): 1},
+     {(): 6, (1,): 6, (2,): 5, (1, 1): 1}, 14546347302055832511),
+    (KS3, "4/7,2/7,1/7", 28,
+     {((), (1,)): 6, ((1,), (2,)): 6, ((2,), (3,)): 4, ((2,), (2, 1)): 2},
+     {(): 6, (1,): 6, (2,): 6}, 10221228394928114550),
+)
+
+
+@pytest.mark.parametrize("kind, law, walks, next_bits", PINNED_WALKS)
+def test_conditioned_walk_pinned(kind, law, walks, next_bits):
+    p = ProbVector.parse(kind, law)
+    rng = RngStream(5)
+    assert tuple(sample_conditioned_walk(kind, p, 4, 8, rng) for _ in walks) == walks
+    assert rng.draw_bits() == next_bits
+
+
+@pytest.mark.parametrize("kind, law, attempts, transitions, visits, next_bits", PINNED_ENSEMBLES)
+def test_conditioned_ensemble_pinned(kind, law, attempts, transitions, visits, next_bits):
+    rng = RngStream(9)
+    ensemble = sample_conditioned_ensemble(kind, ProbVector.parse(kind, law), 3, 8, 6, rng)
+    assert (ensemble.paths, ensemble.attempts) == (6, attempts)
+    assert ensemble.transition_counts == transitions
+    assert ensemble.visit_counts == visits
+    assert rng.draw_bits() == next_bits
+
+
+def test_conditioned_walk_pinned_exhaustion():
+    near_uniform = ProbVector.parse(KE2, "51/100,49/100")
+    sample_conditioned_walk(KE2, near_uniform, 2, 60, RngStream(1), max_attempts=3)
+    with pytest.raises(SamplingFailureError) as info:
+        sample_conditioned_walk(KE2, near_uniform, 2, 60, RngStream(2), max_attempts=3)
+    assert (info.value.attempts, info.value.accepted) == (3, 0)
