@@ -62,10 +62,6 @@ from .characters import (
     nabla,
     psi,
     schur,
-    schur_by_tableaux,
-    schur_weyl_empty,
-    schur_weyl_hook,
-    schur_weyl_strict,
 )
 from .multiplicities import (
     LrTableau,

@@ -6,10 +6,15 @@ monomials over the semistandard tableaux of the shape; the Weyl-type route
 evaluates the closed alternant formulas.  The two must agree wherever both
 are defined, and the test suite enforces that equality.
 
-The closed formula for the hook kind (Berele, Regev, Sergeev) is only valid
-for shapes containing the full m x n rectangle; outside that domain
-:func:`schur_weyl_hook` raises and the automatic route falls back to the
-tableau sum.
+The closed formulas and the drift constant :func:`nabla` are built from three
+products over the values: the chamber factor prod_{i<j} (1 - v_j/v_i), the
+mixed factor prod (1 + u/b) over barred b and unbarred u, and the strict
+factor prod_{i<d, j>i} (x_i + x_j)/(x_i - x_j).  The gl(m,n) alternant
+(Berele, Regev, Sergeev) splits into the mixed factor times a gl(m) Weyl
+ratio in the barred values and a gl(n) one in the unbarred values, taken at
+the two blocks of the pi-weight.  It is only valid for shapes containing the
+full m x n rectangle (or the empty shape); outside that domain the Weyl
+route raises and the automatic route falls back to the tableau sum.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Sequence
 
 from .errors import (
@@ -42,7 +47,50 @@ from .kinds import (
 )
 from .tableaux import DEFAULT_BOX_BUDGET, DEFAULT_NODE_BUDGET, enumerate_tableaux
 
-Rational = Fraction
+
+# ---------------------------------------------------------------------------
+# Shared factors
+# ---------------------------------------------------------------------------
+
+def _power(values: Sequence[Fraction], exponents: Sequence[int]) -> Fraction:
+    """prod v_i^(e_i); exponents may be negative.  Numerator and denominator
+    are multiplied as integers and reduced once, not once per factor."""
+    num = den = 1
+    for v, e in zip(values, exponents):
+        if e > 0:
+            num *= v.numerator**e
+            den *= v.denominator**e
+        elif e < 0:
+            num *= v.denominator**-e
+            den *= v.numerator**-e
+    return Fraction(num, den)
+
+
+def _chamber(values: Sequence[Fraction]) -> Fraction:
+    """prod_{i<j} (1 - v_j/v_i)."""
+    out = Fraction(1)
+    for i, a in enumerate(values):
+        for b in values[i + 1:]:
+            out *= 1 - b / a
+    return out
+
+
+def _mixed(barred: Sequence[Fraction], unbarred: Sequence[Fraction]) -> Fraction:
+    """prod (1 + u/b) over every barred b and unbarred u."""
+    out = Fraction(1)
+    for b in barred:
+        for u in unbarred:
+            out *= 1 + u / b
+    return out
+
+
+def _strict_factor(xs: Sequence[Fraction], d: int) -> Fraction:
+    """prod_{i<d, j>i} (x_i + x_j)/(x_i - x_j)."""
+    out = Fraction(1)
+    for i in range(d):
+        for j in range(i + 1, len(xs)):
+            out *= (xs[i] + xs[j]) / (xs[i] - xs[j])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +142,7 @@ class ProbVector:
 
     def monomial(self, weight: Sequence[int]) -> Fraction:
         """p^mu; exponents may be negative."""
-        out = Fraction(1)
-        for v, e in zip(self.values, weight):
-            if e:
-                out *= v**e
-        return out
-
-    def drift(self) -> tuple[Fraction, ...]:
-        """Mean step vector in weight coordinates."""
-        return self.values
+        return _power(self.values, weight)
 
     def to_json(self) -> list[str]:
         return [f"{v.numerator}/{v.denominator}" for v in self.values]
@@ -161,11 +201,7 @@ class SparseCharacter:
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
         total = Fraction(0)
         for w, c in self.terms.items():
-            mono = Fraction(c)
-            for v, e in zip(values, w):
-                if e:
-                    mono *= v**e
-            total += mono
+            total += c * _power(values, w)
         return total
 
 
@@ -203,49 +239,16 @@ def character_polynomial(
 
 
 # ---------------------------------------------------------------------------
-# Tableau route
-# ---------------------------------------------------------------------------
-
-def schur_by_tableaux(
-    kind: AlgebraKind,
-    shape: Sequence[int],
-    p: ProbVector,
-    budget: int = DEFAULT_BOX_BUDGET,
-    max_nodes: int = DEFAULT_NODE_BUDGET,
-) -> Fraction:
-    """Generating series of the shape's tableaux evaluated at p."""
-    return character_polynomial(kind, shape, budget, max_nodes).evaluate(p.values)
-
-
-# ---------------------------------------------------------------------------
 # Weyl-type routes
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    out = []
-    for perm in permutations(range(n)):
-        sign, seen = 1, [False] * n
-        for i in range(n):
-            if seen[i]:
-                continue
-            j, cycle = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                cycle += 1
-            if cycle % 2 == 0:
-                sign = -sign
-        out.append((perm, sign))
-    return tuple(out)
-
-
-def _power(values: Sequence[Fraction], exponents: Sequence[int]) -> Fraction:
-    out = Fraction(1)
-    for v, e in zip(values, exponents):
-        if e:
-            out *= v**e
-    return out
+    """Every permutation of range(n) with its sign, the parity of its inversions."""
+    return tuple(
+        (perm, (-1) ** sum(a > b for a, b in combinations(perm, 2)))
+        for perm in permutations(range(n))
+    )
 
 
 def _require_distinct(values: Sequence[Fraction], label: str):
@@ -257,25 +260,15 @@ def _require_distinct(values: Sequence[Fraction], label: str):
 
 def weyl_empty_values(n: int, shape: Sequence[int], values: Sequence[Fraction]) -> Fraction:
     """Weyl character formula for gl(n) at explicit variable values."""
-    lam = normalize_shape(shape) + (0,) * (n - len(normalize_shape(shape)))
-    _require_distinct(values, "gl(n)")
+    lam = normalize_shape(shape)
+    _require_distinct(values, f"gl({n})")
     rho = tuple(range(n - 1, -1, -1))
-    v = tuple(lam[i] + rho[i] for i in range(n))
-    den = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            den *= values[i] - values[j]
+    v = tuple(a + r for a, r in zip(lam + (0,) * (n - len(lam)), rho))
     num = Fraction(0)
     for perm, sign in _signed_permutations(n):
-        num += sign * _power(values, tuple(v[perm[i]] for i in range(n)))
-    return num / den
-
-
-def schur_weyl_empty(kind: AlgebraKind, shape: Sequence[int], p: ProbVector) -> Fraction:
-    if kind.kind != EMPTY:
-        raise InvalidInputError("schur_weyl_empty expects the empty kind")
-    check_shape(kind, shape)
-    return weyl_empty_values(kind.n, shape, p.values)
+        num += sign * _power(values, tuple(v[k] for k in perm))
+    # prod_{i<j} (v_i - v_j) = v^rho * prod_{i<j} (1 - v_j/v_i)
+    return num / (_power(values, rho) * _chamber(values))
 
 
 def hook_formula_applicable(kind: AlgebraKind, shape: Sequence[int]) -> bool:
@@ -293,43 +286,22 @@ def hook_formula_applicable(kind: AlgebraKind, shape: Sequence[int]) -> bool:
 def weyl_hook_values(
     kind: AlgebraKind, shape: Sequence[int], values: Sequence[Fraction]
 ) -> Fraction:
+    """Closed gl(m,n) formula: the S_m x S_n alternant splits into the gl(m)
+    and gl(n) Weyl ratios of the two pi-weight blocks, times the mixed factor."""
     lam = check_shape(kind, shape)
     if not hook_formula_applicable(kind, lam):
         raise FormulaDomainError(
             f"shape {lam} does not contain the {kind.m}x{kind.n} rectangle; "
             "the closed hook formula does not apply"
         )
-    m, n = kind.m, kind.n
+    m = kind.m
     barred, unbarred = values[:m], values[m:]
-    _require_distinct(barred, "barred")
-    _require_distinct(unbarred, "unbarred")
     piw = pi_weight(kind, lam)
-    rho = tuple(range(m - 1, -1, -1)) + tuple(range(n - 1, -1, -1))
-    v = tuple(piw[i] + rho[i] for i in range(m + n))
-    num = Fraction(1)
-    for i in range(m):
-        bound = min(lam[i] if i < len(lam) else 0, n)
-        for j in range(bound):
-            num *= 1 + unbarred[j] / barred[i]
-    den = Fraction(1)
-    for i in range(m):
-        for j in range(i + 1, m):
-            den *= 1 - barred[j] / barred[i]
-    for r in range(n):
-        for s in range(r + 1, n):
-            den *= 1 - unbarred[s] / unbarred[r]
-    total = Fraction(0)
-    for pb, sb in _signed_permutations(m):
-        for pu, su in _signed_permutations(n):
-            w = tuple(v[pb[i]] for i in range(m)) + tuple(v[m + pu[j]] for j in range(n))
-            total += sb * su * _power(values, tuple(w[i] - rho[i] for i in range(m + n)))
-    return num * total / den
-
-
-def schur_weyl_hook(kind: AlgebraKind, shape: Sequence[int], p: ProbVector) -> Fraction:
-    if kind.kind != HOOK:
-        raise InvalidInputError("schur_weyl_hook expects the hook kind")
-    return weyl_hook_values(kind, shape, p.values)
+    return (
+        (_mixed(barred, unbarred) if lam else 1)
+        * weyl_empty_values(m, piw[:m], barred)
+        * weyl_empty_values(kind.n, piw[m:], unbarred)
+    )
 
 
 def weyl_strict_values(
@@ -341,25 +313,14 @@ def weyl_strict_values(
     lam, which is what makes the quotient exact.
     """
     lam = normalize_shape(shape)
-    _require_distinct(values, "q(n)")
+    _require_distinct(values, f"q({n})")
     d = len(lam)
     padded = lam + (0,) * (n - d)
     total = Fraction(0)
     for perm, _ in _signed_permutations(n):
-        xs = tuple(values[perm[i]] for i in range(n))
-        term = _power(xs, padded)
-        for i in range(d):
-            for j in range(i + 1, n):
-                term *= (xs[i] + xs[j]) / (xs[i] - xs[j])
-        total += term
+        xs = tuple(values[k] for k in perm)
+        total += _power(xs, padded) * _strict_factor(xs, d)
     return total / math.factorial(n - d)
-
-
-def schur_weyl_strict(kind: AlgebraKind, shape: Sequence[int], p: ProbVector) -> Fraction:
-    if kind.kind != STRICT:
-        raise InvalidInputError("schur_weyl_strict expects the strict kind")
-    check_shape(kind, shape)
-    return weyl_strict_values(kind.n, shape, p.values)
 
 
 # ---------------------------------------------------------------------------
@@ -415,41 +376,20 @@ def nabla(kind: AlgebraKind, p: ProbVector) -> Fraction:
     require_condition(p)
     vals = p.values
     if kind.kind == EMPTY:
-        out = Fraction(1)
-        for i in range(kind.n):
-            for j in range(i + 1, kind.n):
-                out *= 1 - vals[j] / vals[i]
-        return 1 / out
+        return 1 / _chamber(vals)
     if kind.kind == STRICT:
-        out = Fraction(1)
-        for i in range(kind.n):
-            for j in range(i + 1, kind.n):
-                out *= (vals[i] + vals[j]) / (vals[i] - vals[j])
-        return out
-    m, n = kind.m, kind.n
-    barred, unbarred = vals[:m], vals[m:]
-    num = Fraction(1)
-    for b in barred:
-        for u in unbarred:
-            num *= 1 + u / b
-    den = Fraction(1)
-    for i in range(m):
-        for j in range(i + 1, m):
-            den *= 1 - barred[j] / barred[i]
-    for r in range(n):
-        for s in range(r + 1, n):
-            den *= 1 - unbarred[s] / unbarred[r]
-    return num / den
+        return _strict_factor(vals, kind.n)
+    barred, unbarred = vals[: kind.m], vals[kind.m:]
+    return _mixed(barred, unbarred) / (_chamber(barred) * _chamber(unbarred))
 
 
 def psi(
     kind: AlgebraKind,
     shape: Sequence[int],
     p: ProbVector,
-    route: str = "auto",
     budget: int = DEFAULT_BOX_BUDGET,
 ) -> Fraction:
     """Harmonic function p^(-lambda) s_lambda(p) of the shape process."""
     lam = check_shape(kind, shape)
     piw = pi_weight(kind, lam)
-    return p.monomial([-e for e in piw]) * schur(kind, lam, p, route=route, budget=budget)
+    return p.monomial([-e for e in piw]) * schur(kind, lam, p, budget=budget)

@@ -22,6 +22,7 @@ trailing zeros stripped; equality and hashing therefore never see padding.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -122,10 +123,6 @@ def weight_of(kind: AlgebraKind, word: Sequence[int]) -> Weight:
     for x in word:
         counts[kind.letter_index(x)] += 1
     return tuple(counts)
-
-
-def add_weights(a: Sequence[int], b: Sequence[int]) -> Weight:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def sub_weights(a: Sequence[int], b: Sequence[int]) -> Weight:
@@ -367,9 +364,19 @@ def parse_shape(kind: AlgebraKind, text: str) -> Shape:
     return check_shape(kind, parts)
 
 
+# Integers, n/d and plain decimals.  Exponent notation is refused because
+# Fraction expands the exponent exactly: "1e10000000" alone takes seconds.
+_RATIONAL = re.compile(r"[+-]?(\d+/\d+|\d+\.?\d*|\.\d+)")
+
+
 def parse_rational(text: str) -> Fraction:
+    token = text.strip()
+    if not _RATIONAL.fullmatch(token):
+        raise InvalidInputError(
+            f"cannot parse rational {text!r}: expected an integer, n/d or a plain decimal"
+        )
     try:
-        return Fraction(text.strip())
+        return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"cannot parse rational {text!r}") from exc
 
@@ -381,12 +388,6 @@ def format_rational(value: Fraction) -> str:
 
 def shape_to_json(shape: Sequence[int]) -> list[int]:
     return list(normalize_shape(shape))
-
-
-def weight_to_json(kind: AlgebraKind, weight: Sequence[int]):
-    if kind.kind == HOOK:
-        return {"barred": list(weight[: kind.m]), "unbarred": list(weight[kind.m:])}
-    return list(weight)
 
 
 def word_to_json(word: Sequence[int]) -> str:

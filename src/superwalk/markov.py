@@ -86,7 +86,6 @@ def pi_restricted(kind: AlgebraKind, p: ProbVector) -> TransitionKernel:
 def pi_shape(
     kind: AlgebraKind,
     p: ProbVector,
-    route: str = "auto",
     budget: int = DEFAULT_BOX_BUDGET,
 ) -> TransitionKernel:
     """Transition matrix of the Pitman image: ratios of character values.
@@ -99,7 +98,7 @@ def pi_shape(
     def value(shape: Shape) -> Fraction:
         got = cache.get(shape)
         if got is None:
-            got = cache[shape] = schur(kind, shape, p, route=route, budget=budget)
+            got = cache[shape] = schur(kind, shape, p, budget=budget)
         return got
 
     def rows(state: Shape):

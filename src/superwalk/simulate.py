@@ -46,9 +46,6 @@ class RngStream:
     def __post_init__(self):
         self._rng = random.Random((self.seed & ((1 << 64) - 1)) * 0x9E3779B97F4A7C15 + self.index)
 
-    def spawn(self, index: int) -> "RngStream":
-        return RngStream(self.seed, index)
-
     def draw_bits(self) -> int:
         return self._rng.getrandbits(_BITS)
 
@@ -325,22 +322,12 @@ class TrendRow:
     shape: Shape
     value: Fraction | None
 
-    def value_float(self) -> float | None:
-        return None if self.value is None else float(self.value)
-
 
 @dataclass(frozen=True)
 class TrendReport:
     rows: tuple[TrendRow, ...]
     target: Fraction
     final_quartile_deviation: float
-
-    def deviations(self) -> list[float]:
-        return [
-            abs(float(r.value) - float(self.target))
-            for r in self.rows
-            if r.value is not None
-        ]
 
 
 def _final_quartile_deviation(rows, target: Fraction) -> float:

@@ -32,10 +32,6 @@ from superwalk import (
     q_tableau,
     rsk,
     schur,
-    schur_by_tableaux,
-    schur_weyl_empty,
-    schur_weyl_hook,
-    schur_weyl_strict,
     stay_probability,
     stay_probability_truncated,
     successors,
@@ -191,15 +187,11 @@ def test_criterion_3_dual_route():
         for p in condition_points(kind, 3):
             assert p.satisfies_condition()
             for lam in shapes_up_to(kind, 6):
-                tab = schur_by_tableaux(kind, lam, p, budget=6)
-                if kind.kind == "empty":
-                    assert tab == schur_weyl_empty(kind, lam, p)
-                elif kind.kind == "strict":
-                    assert tab == schur_weyl_strict(kind, lam, p)
-                elif hook_formula_applicable(kind, lam):
-                    # the closed hook formula is only valid on shapes
-                    # containing the m x n rectangle
-                    assert tab == schur_weyl_hook(kind, lam, p)
+                tab = schur(kind, lam, p, route="tableaux", budget=6)
+                # the closed hook formula is only valid on shapes
+                # containing the m x n rectangle
+                if kind.kind != "hook" or hook_formula_applicable(kind, lam):
+                    assert tab == schur(kind, lam, p, route="weyl")
     # identity (rela): full-depth strict shapes factor through the empty kind
     for n in (2, 3):
         ks, ke = AlgebraKind.strict(n), AlgebraKind.empty(n)
@@ -214,8 +206,8 @@ def test_criterion_3_dual_route():
                 for i in range(n):
                     for j in range(i + 1, n):
                         prod *= pe.values[i] + pe.values[j]
-                assert schur_weyl_strict(ks, lam, ps) == (
-                    schur_weyl_empty(ke, reduced, pe) * prod
+                assert schur(ks, lam, ps, route="weyl") == (
+                    schur(ke, reduced, pe, route="weyl") * prod
                 )
 
 

@@ -11,14 +11,11 @@ from superwalk import (
     ProbVector,
     SingularEvaluationError,
     character_polynomial,
+    contains,
     nabla,
     pi_weight,
     psi,
     schur,
-    schur_by_tableaux,
-    schur_weyl_empty,
-    schur_weyl_hook,
-    schur_weyl_strict,
 )
 from superwalk.characters import hook_formula_applicable, require_condition
 from superwalk.errors import FormulaDomainError
@@ -56,14 +53,14 @@ def test_monomial_with_negative_exponents():
 def test_schur_normalization_single_box():
     for kind in (KE3, KS3, KH22):
         p = condition_points(kind)[0]
-        assert schur_by_tableaux(kind, (1,), p) == 1
+        assert schur(kind, (1,), p, route="tableaux") == 1
         assert schur(kind, (), p) == 1
 
 
 def test_weyl_empty_examples():
-    assert schur_weyl_empty(KE2, (1,), P2) == 1
-    assert schur_weyl_empty(KE3, (), P3) == 1
-    assert schur_weyl_empty(KE3, (2, 1), P3) == schur_by_tableaux(KE3, (2, 1), P3)
+    assert schur(KE2, (1,), P2, route="weyl") == 1
+    assert schur(KE3, (), P3, route="weyl") == 1
+    assert schur(KE3, (2, 1), P3, route="weyl") == schur(KE3, (2, 1), P3, route="tableaux")
     assert len(
         [t for t in character_polynomial(KE3, (2, 1)).terms.values()]
     ) > 0
@@ -71,17 +68,17 @@ def test_weyl_empty_examples():
 
 def test_weyl_empty_singular():
     with pytest.raises(SingularEvaluationError):
-        schur_weyl_empty(KE2, (1,), ProbVector.parse(KE2, "1/2,1/2"))
+        schur(KE2, (1,), ProbVector.parse(KE2, "1/2,1/2"), route="weyl")
 
 
 def test_weyl_hook_examples():
     p11 = ProbVector.parse(KH11, "2/3,1/3")
-    assert schur_weyl_hook(KH11, (1,), p11) == 1
-    assert schur_weyl_hook(KH11, (), p11) == 1
+    assert schur(KH11, (1,), p11, route="weyl") == 1
+    assert schur(KH11, (), p11, route="weyl") == 1
     p22 = ProbVector.parse(KH22, "1/2,1/4,1/6,1/12")
     lam = (2, 2, 1)
     assert hook_formula_applicable(KH22, lam)
-    assert schur_weyl_hook(KH22, lam, p22) == schur_by_tableaux(KH22, lam, p22)
+    assert schur(KH22, lam, p22, route="weyl") == schur(KH22, lam, p22, route="tableaux")
 
 
 def test_weyl_hook_outside_domain():
@@ -90,14 +87,14 @@ def test_weyl_hook_outside_domain():
     p22 = ProbVector.parse(KH22, "1/2,1/4,1/6,1/12")
     assert not hook_formula_applicable(KH22, (2, 1))
     with pytest.raises(FormulaDomainError):
-        schur_weyl_hook(KH22, (2, 1), p22)
-    assert schur(KH22, (2, 1), p22) == schur_by_tableaux(KH22, (2, 1), p22)
+        schur(KH22, (2, 1), p22, route="weyl")
+    assert schur(KH22, (2, 1), p22) == schur(KH22, (2, 1), p22, route="tableaux")
 
 
 def test_weyl_strict_examples():
     ps = ProbVector.parse(KS2, "2/3,1/3")
-    assert schur_weyl_strict(KS2, (1,), ps) == 1
-    assert schur_weyl_strict(KS2, (2,), ps) == schur_by_tableaux(KS2, (2,), ps)
+    assert schur(KS2, (1,), ps, route="weyl") == 1
+    assert schur(KS2, (2,), ps, route="weyl") == schur(KS2, (2,), ps, route="tableaux")
 
 
 def test_rela_identity_full_depth():
@@ -107,8 +104,8 @@ def test_rela_identity_full_depth():
             ps = ProbVector(KS2, pe.values)
             reduced = tuple(a - b for a, b in zip(lam, (1, 0)))
             product_term = pe.values[0] + pe.values[1]
-            assert schur_weyl_strict(KS2, lam, ps) == (
-                schur_weyl_empty(KE2, reduced, pe) * product_term
+            assert schur(KS2, lam, ps, route="weyl") == (
+                schur(KE2, reduced, pe, route="weyl") * product_term
             )
     lam = (3, 2, 1)
     for pe in condition_points(KE3):
@@ -118,7 +115,7 @@ def test_rela_identity_full_depth():
         for i in range(3):
             for j in range(i + 1, 3):
                 prod *= pe.values[i] + pe.values[j]
-        assert schur_weyl_strict(KS3, lam, ps) == schur_weyl_empty(KE3, reduced, pe) * prod
+        assert schur(KS3, lam, ps, route="weyl") == schur(KE3, reduced, pe, route="weyl") * prod
 
 
 def test_dual_route_sweep():
@@ -126,13 +123,50 @@ def test_dual_route_sweep():
     for kind in (KE2, KE3, KS2, KS3, *hooks):
         for p in condition_points(kind):
             for lam in shapes_up_to(kind, 5):
-                tab = schur_by_tableaux(kind, lam, p, budget=6)
-                if kind.kind == "empty":
-                    assert tab == schur_weyl_empty(kind, lam, p)
-                elif kind.kind == "strict":
-                    assert tab == schur_weyl_strict(kind, lam, p)
-                elif hook_formula_applicable(kind, lam):
-                    assert tab == schur_weyl_hook(kind, lam, p)
+                tab = schur(kind, lam, p, route="tableaux", budget=6)
+                if kind.kind != "hook" or hook_formula_applicable(kind, lam):
+                    assert tab == schur(kind, lam, p, route="weyl")
+
+
+def test_dual_route_hook_three_barred_letters():
+    # m = 3 puts an S_3 alternant in the barred block of the hook formula
+    for kind in (AlgebraKind.hook(3, 1), AlgebraKind.hook(3, 2)):
+        rectangle = (kind.n,) * kind.m
+        checked = 0
+        for p in condition_points(kind):
+            for lam in shapes_up_to(kind, 7):
+                if contains(kind, lam, rectangle):
+                    tab = schur(kind, lam, p, route="tableaux", budget=7)
+                    assert tab == schur(kind, lam, p, route="weyl")
+                    checked += 1
+        assert checked > 0
+
+
+def test_nabla_and_rectangle_hook_values_pinned():
+    # exact values at the first condition point, fixed independently of the
+    # factors the closed forms are built from
+    nablas = {
+        AlgebraKind.empty(3): Fraction(16, 3),
+        AlgebraKind.strict(3): Fraction(15),
+        AlgebraKind.hook(2, 2): Fraction(675, 64),
+        AlgebraKind.hook(3, 2): Fraction(34425, 1024),
+    }
+    for kind, value in nablas.items():
+        assert nabla(kind, condition_points(kind)[0]) == value
+    rectangles = {
+        (1, 1): Fraction(1),
+        (1, 2): Fraction(30, 49),
+        (1, 3): Fraction(8, 25),
+        (2, 1): Fraction(15, 49),
+        (2, 2): Fraction(4, 75),
+        (2, 3): Fraction(6609600, 887503681),
+        (3, 1): Fraction(1, 25),
+        (3, 2): Fraction(826200, 887503681),
+    }
+    for (m, n), value in rectangles.items():
+        kind = AlgebraKind.hook(m, n)
+        p = condition_points(kind)[0]
+        assert schur(kind, (n,) * m, p, route="weyl") == value
 
 
 def test_nabla_examples():

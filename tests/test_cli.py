@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -199,6 +200,7 @@ BAD_INPUTS = {
     "gamma-not-int": (["llt", *P2_ARGS, "--gamma", "x"], {}),
     "zero-lmax": (["llt", *P2_ARGS, "--lmax", "0"], {}),
     "negative-horizon": (["exit-prob", *P2_ARGS, "--horizon", "-3"], {}),
+    "p-exponent": (["exit-prob", *P2_ARGS, "--p", "1e10000000,1/3"], {}),
     "output-dir-missing": (GOLDEN_COMMANDS["rsk_empty.json"] + ["--output", "{missing}"], {}),
 }
 
@@ -209,12 +211,17 @@ def test_bad_input_exits_2_with_message(name, monkeypatch, capsys, tmp_path):
     argv = [a.replace("{missing}", str(tmp_path / "missing" / "out.json")) for a in argv]
     for key, value in env.items():
         monkeypatch.setenv(key, value)
+    start = time.perf_counter()
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
+    elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 2
+    # refused before any costly work: an exponent such as 1e10000000 is
+    # never expanded into an exact power of ten
+    assert elapsed < 1.0
     assert captured.err.strip() and "Traceback" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "missing").exists()

@@ -25,7 +25,7 @@ from superwalk import (
     stay_probability_truncated,
     successors,
 )
-from superwalk.characters import character_polynomial, schur_weyl_empty, schur_weyl_strict
+from superwalk.characters import character_polynomial
 from superwalk.kinds import pi_weight, sub_weights
 from superwalk.simulate import drift_shape
 from superwalk.suites import condition_points, shapes_up_to
@@ -229,7 +229,7 @@ def test_open_cone_formulas_agree():
         for lam in ((2, 1), (3, 1), (4, 2)):
             exp1 = (
                 ps.monomial([-e for e in lam])
-                * schur_weyl_strict(KS2, lam, ps)
+                * schur(KS2, lam, ps, route="weyl")
                 * (p1 - p2)
                 / (p1 + p2)
             )
@@ -237,7 +237,7 @@ def test_open_cone_formulas_agree():
             exp2 = (
                 pe.monomial((1, 0))
                 * pe.monomial([-e for e in lam])
-                * schur_weyl_empty(KE2, reduced, pe)
+                * schur(KE2, reduced, pe, route="weyl")
                 * (1 - p2 / p1)
             )
             assert exp1 == exp2
