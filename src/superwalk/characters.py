@@ -348,6 +348,10 @@ def character_value(
 ) -> Fraction:
     """Evaluate the character at arbitrary positive rational values."""
     lam = check_shape(kind, shape)
+    if len(values) != kind.N:
+        raise InvalidInputError(f"expected {kind.N} values, got {len(values)}")
+    if any(v <= 0 for v in values):
+        raise InvalidInputError("character values must be positive")
     if route == "auto":
         route = "weyl" if weyl_route_applicable(kind, lam, values) else "tableaux"
     if route == "weyl":

@@ -18,7 +18,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .characters import ProbVector, character_value
+from .characters import ProbVector, character_value, schur
 from .errors import (
     BudgetExceededError,
     InvalidInputError,
@@ -38,7 +38,7 @@ from .kinds import (
     word_to_json,
 )
 from .markov import stay_probability, stay_probability_truncated
-from .multiplicities import decompose_product, lr_count
+from .multiplicities import decompose_product, f_count, lr_count
 from .simulate import (
     RngStream,
     asympt_multiplicity_experiment,
@@ -254,9 +254,6 @@ def cmd_simulate(args) -> int:
             f"letter {letter}": p.prob(letter) for letter in kind.alphabet
         }
     elif args.experiment == "shape-law":
-        from .characters import schur
-        from .multiplicities import f_count
-
         report = estimate_shape_law(kind, p, args.paths, args.length, rng)
         references = {}
         for target in report.estimates:
@@ -264,15 +261,13 @@ def cmd_simulate(args) -> int:
             references[target] = f_count(kind, lam) * schur(
                 kind, lam, p, budget=args.budget
             )
-    elif args.experiment == "conditioned":
+    else:
         report = estimate_conditioned_acceptance(
             kind, p, args.length, args.horizon, args.paths, rng
         )
         references = {
             "acceptance": stay_probability_truncated(kind, (), p, args.horizon)
         }
-    else:
-        raise InvalidInputError(f"unknown experiment {args.experiment!r}")
     header = [
         "experiment", "kind", "n", "m", "p", "seed", "count",
         "target", "estimate", "stderr", "reference", "sigma_distance",

@@ -26,7 +26,7 @@ class ContractViolationError(SuperwalkError):
 
 
 class DecompositionError(ContractViolationError):
-    """Both the greedy and the linear-system product decompositions failed."""
+    """Greedy elimination met a negative or non-dominant leading term."""
 
 
 class UndefinedKernelError(SuperwalkError):

@@ -35,8 +35,6 @@ State = tuple
 class TransitionKernel:
     """Evaluator form of a (sub)stochastic matrix on a graded state space."""
 
-    domain: str
-    stochastic: bool
     _rows: Callable[[State], tuple[tuple[State, Fraction], ...]] = field(repr=False)
 
     def successors(self, state) -> tuple[tuple[State, Fraction], ...]:
@@ -66,7 +64,7 @@ def pi_walk(kind: AlgebraKind, p: ProbVector) -> TransitionKernel:
             out.append((nxt, prob))
         return tuple(out)
 
-    return TransitionKernel(domain="weights", stochastic=True, _rows=rows)
+    return TransitionKernel(_rows=rows)
 
 
 def pi_restricted(kind: AlgebraKind, p: ProbVector) -> TransitionKernel:
@@ -80,7 +78,7 @@ def pi_restricted(kind: AlgebraKind, p: ProbVector) -> TransitionKernel:
             out.append((lam, p.values[i]))
         return tuple(out)
 
-    return TransitionKernel(domain="shapes", stochastic=False, _rows=rows)
+    return TransitionKernel(_rows=rows)
 
 
 def pi_shape(
@@ -108,7 +106,7 @@ def pi_shape(
             (lam, value(lam) / s_mu) for lam in successors(kind, mu)
         )
 
-    return TransitionKernel(domain="shapes", stochastic=True, _rows=rows)
+    return TransitionKernel(_rows=rows)
 
 
 def doob_transform(kernel: TransitionKernel, h: Callable[[State], Fraction]) -> TransitionKernel:
@@ -125,7 +123,7 @@ def doob_transform(kernel: TransitionKernel, h: Callable[[State], Fraction]) -> 
             )
         return tuple((nxt, prob * h(nxt) / hx) for nxt, prob in base)
 
-    return TransitionKernel(domain=kernel.domain, stochastic=True, _rows=rows)
+    return TransitionKernel(_rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -211,4 +209,4 @@ def conditioned_step_kernel(
             out.append((lam, mass / total))
         return tuple(out)
 
-    return TransitionKernel(domain="shapes", stochastic=True, _rows=rows)
+    return TransitionKernel(_rows=rows)

@@ -1,21 +1,20 @@
 """Multiplicities: chain counts, Kostka numbers, tensor decompositions and
 the hook-kind Littlewood-Richardson rule with its embedding into tableaux.
 
-Tensor product multiplicities are computed by greedy leading-term
-elimination on exact character polynomials, guarded by nonnegativity and a
-zero residual; if the guard trips, an exact linear system over deterministic
-rational evaluation points takes over.  For the hook kind the independent
-combinatorial route (LR skew tableaux with a ballot reading) cross-checks
-the character route.
+Tensor product multiplicities have one route: greedy leading-term
+elimination on exact character polynomials, which is exact (see
+``decompose_product``).  The tests check it against an exact linear system
+over rational evaluation points (``tests/test_multiplicities.py``), and for
+the hook kind against the combinatorial route of LR skew tableaux with a
+ballot reading.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .characters import SparseCharacter, character_polynomial, character_value
+from .characters import SparseCharacter, character_polynomial
 from .errors import BudgetExceededError, DecompositionError, InvalidInputError
 from .kinds import (
     HOOK,
@@ -24,6 +23,7 @@ from .kinds import (
     Weight,
     check_shape,
     contains,
+    in_semigroup,
     pi_weight,
     shape_from_weight,
     shape_size,
@@ -108,9 +108,27 @@ def decompose_product(
 ) -> dict[Shape, int]:
     """Multiplicities of the tensor product of two irreducibles.
 
-    Greedy elimination: repeatedly match the revlex-maximal remaining weight
-    of the product character to a highest shape and subtract its character.
-    Falls back to an exact linear system if the greedy guard trips.
+    Greedy leading-term elimination: take the revlex-maximal remaining weight
+    of the product character, read off the shape with that pi-weight and
+    subtract its character that many times.  This is exact:
+
+    * the character of lam has revlex-maximal weight pi(lam), with
+      coefficient 1.  In a tableau of shape lam the letters up to c (primed
+      or not) fill a subshape inside a region R_c of lam: the first k rows
+      if c is the k-th letter of gl(n) or q(n) or the k-th barred letter of
+      gl(m,n); the first m rows and the first j columns below them if c is
+      the j-th unbarred letter.  Filling each R_c minus the previous one
+      with c gives weight pi(lam), so every prefix sum of a weight is at
+      most that of pi(lam).  A weight is therefore larger than pi(lam) at
+      the last coordinate where they differ, so revlex-smaller, and only
+      that filling has weight pi(lam);
+    * the product is a nonnegative integer combination of irreducible
+      characters, so its top weight is pi of the revlex-highest shape in it
+      (no other shape reaches that weight), with that shape's multiplicity
+      as coefficient, and the same holds for every residual.
+
+    A negative leading coefficient or a leading weight that is no pi-weight
+    therefore means a wrong character, and raises DecompositionError.
     """
     kappa = check_shape(kind, kappa)
     mu = check_shape(kind, mu)
@@ -120,118 +138,27 @@ def decompose_product(
     product = character_polynomial(kind, kappa, budget, max_nodes) * character_polynomial(
         kind, mu, budget, max_nodes
     )
-    try:
-        return _decompose_greedy(kind, product, budget, max_nodes)
-    except _GreedyFailure:
-        result = decompose_by_linear_system(kind, kappa, mu, budget, max_nodes)
-        if result is None:
-            raise DecompositionError(
-                f"cannot decompose product of {kappa} and {mu} for {kind.describe()}"
-            )
-        return result
-
-
-class _GreedyFailure(Exception):
-    pass
+    return _decompose_greedy(kind, product, budget, max_nodes)
 
 
 def _decompose_greedy(
-    kind: AlgebraKind, product: SparseCharacter, budget: int, max_nodes: int
+    kind: AlgebraKind, residual: SparseCharacter, budget: int, max_nodes: int
 ) -> dict[Shape, int]:
-    residual = product
     out: dict[Shape, int] = {}
     while residual:
         top = _revlex_max(residual.terms)
         coeff = residual.terms[top]
-        if coeff < 0:
-            raise _GreedyFailure
-        try:
-            lam = shape_from_weight(kind, top)
-        except InvalidInputError:
-            raise _GreedyFailure from None
+        if coeff < 0 or not in_semigroup(kind, top):
+            raise DecompositionError(
+                f"leading weight {top} with coefficient {coeff} is not a highest "
+                f"weight of the product for {kind.describe()}"
+            )
+        lam = shape_from_weight(kind, top)
         residual = residual.scaled_minus(
             coeff, character_polynomial(kind, lam, budget, max_nodes)
         )
         out[lam] = coeff
     return out
-
-
-_EVALUATION_BASES = tuple(range(2, 40))
-
-
-def evaluation_point(kind: AlgebraKind, index: int) -> tuple[Fraction, ...]:
-    """Deterministic sequence of distinct small rational evaluation points."""
-    base = _EVALUATION_BASES[index % len(_EVALUATION_BASES)] + index // len(
-        _EVALUATION_BASES
-    ) * len(_EVALUATION_BASES)
-    return tuple(Fraction(1, base ** (i + 1)) for i in range(kind.N))
-
-
-def decompose_by_linear_system(
-    kind: AlgebraKind,
-    kappa: Sequence[int],
-    mu: Sequence[int],
-    budget: int = DEFAULT_BOX_BUDGET,
-    max_nodes: int = DEFAULT_NODE_BUDGET,
-) -> dict[Shape, int] | None:
-    """Solve for the multiplicities by evaluating both sides at rational points.
-
-    Characters of inequivalent irreducibles are linearly independent
-    functions, so adding points until the column space has full rank
-    determines the coefficients uniquely.
-    """
-    kappa = check_shape(kind, kappa)
-    mu = check_shape(kind, mu)
-    candidates = shapes_of_size(kind, shape_size(kappa) + shape_size(mu))
-    k = len(candidates)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for index in range(4 * k + 8):
-        point = evaluation_point(kind, index)
-        rows.append(
-            [character_value(kind, lam, point, budget=budget, max_nodes=max_nodes)
-             for lam in candidates]
-        )
-        rhs.append(
-            character_value(kind, kappa, point, budget=budget, max_nodes=max_nodes)
-            * character_value(kind, mu, point, budget=budget, max_nodes=max_nodes)
-        )
-        solution = _solve_exact(rows, rhs, k)
-        if solution is not None:
-            out = {}
-            for lam, value in zip(candidates, solution):
-                if value == 0:
-                    continue
-                if value != int(value) or value < 0:
-                    return None
-                out[lam] = int(value)
-            return out
-    return None
-
-
-def _solve_exact(rows, rhs, unknowns) -> list[Fraction] | None:
-    """Gaussian elimination; None unless the system has full column rank."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(unknowns):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pivot is None:
-            return None
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        head = aug[r][c]
-        aug[r] = [v / head for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    # consistency of the remaining rows
-    for i in range(r, len(aug)):
-        if any(v != 0 for v in aug[i]):
-            return None
-    return [aug[i][-1] for i in range(unknowns)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from superwalk import (
     psi,
     schur,
 )
-from superwalk.characters import hook_formula_applicable, require_condition
+from superwalk.characters import character_value, hook_formula_applicable, require_condition
 from superwalk.errors import FormulaDomainError
 from superwalk.simulate import drift_shape
 from superwalk.suites import condition_points, shapes_up_to
@@ -69,6 +69,17 @@ def test_weyl_empty_examples():
 def test_weyl_empty_singular():
     with pytest.raises(SingularEvaluationError):
         schur(KE2, (1,), ProbVector.parse(KE2, "1/2,1/2"), route="weyl")
+
+
+@pytest.mark.parametrize("route", ["auto", "weyl", "tableaux"])
+@pytest.mark.parametrize("kind", [KE3, KH11, KS3], ids=lambda k: k.describe())
+def test_character_value_refuses_bad_values(kind, route):
+    good = condition_points(kind)[0].values
+    bad = [good[:i] + (Fraction(0),) + good[i + 1:] for i in range(kind.N)]
+    bad += [(Fraction(-1, 2),) + good[1:], good[:-1], good + (Fraction(1, 7),)]
+    for values in bad:
+        with pytest.raises(InvalidInputError):
+            character_value(kind, (2, 1), values, route=route)
 
 
 def test_weyl_hook_examples():

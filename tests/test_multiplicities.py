@@ -6,6 +6,7 @@ import pytest
 
 from superwalk import (
     AlgebraKind,
+    DecompositionError,
     InvalidInputError,
     ProbVector,
     decompose_product,
@@ -23,15 +24,17 @@ from superwalk import (
     theta_embed,
     verify_m_le_K,
 )
+from superwalk.characters import SparseCharacter, character_value
 from superwalk.kinds import sub_weights
 from superwalk.multiplicities import (
-    decompose_by_linear_system,
+    _decompose_greedy,
     dec_skew_coefficient_identity,
     lr_reading_word,
     shapes_of_size,
 )
 from superwalk.simulate import drift_shape
 from superwalk.suites import condition_points, shapes_up_to
+from superwalk.tableaux import DEFAULT_NODE_BUDGET
 
 KE2 = AlgebraKind.empty(2)
 KE3 = AlgebraKind.empty(3)
@@ -112,14 +115,71 @@ def test_product_commutes_and_is_consistent():
             assert lhs == rhs
 
 
+# Independent oracle for decompose_product: characters of inequivalent
+# irreducibles are linearly independent functions, so exact evaluations of
+# both sides of the product at enough rational points fix the multiplicities.
+# Coordinate j of point i is 1/(P_j + 19 i).  Points on the monomial curve
+# (t, t^2, t^3) do not do: the seven 6-box gl(3) characters have rank 6 there.
+_ORACLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+def _oracle_point(kind, index):
+    return tuple(Fraction(1, prime + 19 * index) for prime in _ORACLE_PRIMES[: kind.N])
+
+
+def _decompose_by_linear_system(kind, kappa, mu):
+    """Multiplicities from k + 8 evaluations, k the number of shapes of the
+    product's size; None unless the system has full column rank."""
+    candidates = shapes_of_size(kind, sum(kappa) + sum(mu))
+    rows, rhs = [], []
+    for index in range(len(candidates) + 8):
+        point = _oracle_point(kind, index)
+        rows.append([character_value(kind, lam, point) for lam in candidates])
+        rhs.append(character_value(kind, kappa, point) * character_value(kind, mu, point))
+    solution = _solve_exact(rows, rhs, len(candidates))
+    if solution is None:
+        return None
+    return {lam: value for lam, value in zip(candidates, solution) if value}
+
+
+def _solve_exact(rows, rhs, unknowns):
+    """Gauss-Jordan elimination; None unless the system has full column rank
+    and is consistent."""
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for c in range(unknowns):
+        pivot = next((i for i in range(c, len(aug)) if aug[i][c] != 0), None)
+        if pivot is None:
+            return None
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        head = aug[c][c]
+        aug[c] = [v / head for v in aug[c]]
+        for i in range(len(aug)):
+            if i != c and aug[i][c] != 0:
+                factor = aug[i][c]
+                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[c])]
+    if any(v != 0 for row in aug[unknowns:] for v in row):
+        return None
+    return [aug[i][-1] for i in range(unknowns)]
+
+
 def test_linear_system_agrees_with_greedy():
-    cases = [
-        (KE2, (2, 1), (1, 1)),
-        (KS3, (2, 1), (2,)),
-        (KH22, (2, 1), (1, 1)),
-    ]
-    for kind, ka, mu in cases:
-        assert decompose_by_linear_system(kind, ka, mu) == decompose_product(kind, ka, mu)
+    # every unordered pair of nonempty shapes with at most 6 boxes in total
+    for kind in (KE3, KH22, KS3):
+        shapes = [lam for lam in shapes_up_to(kind, 5) if lam]
+        for i, ka in enumerate(shapes):
+            for mu in shapes[i:]:
+                if sum(ka) + sum(mu) <= 6:
+                    assert _decompose_by_linear_system(kind, ka, mu) == decompose_product(
+                        kind, ka, mu
+                    ), (kind.describe(), ka, mu)
+
+
+def test_tripped_guard_raises_decomposition_error():
+    # x_2 leads with (0, 1), which is no gl(2) pi-weight; -x_1 leads with a
+    # negative coefficient
+    for residual in (SparseCharacter({(0, 1): 1}), SparseCharacter({(1, 0): -1})):
+        with pytest.raises(DecompositionError):
+            _decompose_greedy(KE2, residual, 8, DEFAULT_NODE_BUDGET)
 
 
 def test_lr_exam_instance():
