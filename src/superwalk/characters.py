@@ -6,24 +6,32 @@ monomials over the semistandard tableaux of the shape; the Weyl-type route
 evaluates the closed alternant formulas.  The two must agree wherever both
 are defined, and the test suite enforces that equality.
 
-The closed formulas and the drift constant :func:`nabla` are built from three
-products over the values: the chamber factor prod_{i<j} (1 - v_j/v_i), the
-mixed factor prod (1 + u/b) over barred b and unbarred u, and the strict
-factor prod_{i<d, j>i} (x_i + x_j)/(x_i - x_j).  The gl(m,n) alternant
-(Berele, Regev, Sergeev) splits into the mixed factor times a gl(m) Weyl
-ratio in the barred values and a gl(n) one in the unbarred values, taken at
-the two blocks of the pi-weight.  It is only valid for shapes containing the
-full m x n rectangle (or the empty shape); outside that domain the Weyl
-route raises and the automatic route falls back to the tableau sum.
+The closed formulas and the drift constant :func:`nabla` are built from a
+few products over the values: the chamber factor prod_{i<j} (1 - v_j/v_i),
+the mixed factor prod (1 + u/b) over barred b and unbarred u, and the strict
+factor prod_{i<j} (x_i + x_j)/(x_i - x_j).  No Weyl route sums over S_n:
+
+* gl(n): the alternant det(x_i^(lam_j + n - j)) is one integer determinant
+  (Bareiss's fraction-free elimination, O(n^3) operations) over the integer
+  Vandermonde product, reduced to a single Fraction at the end;
+* gl(m,n): the alternant (Berele, Regev, Sergeev) splits into the mixed
+  factor times a gl(m) Weyl ratio in the barred values and a gl(n) one in
+  the unbarred values, taken at the two blocks of the pi-weight.  It is only
+  valid for shapes containing the full m x n rectangle (or the empty shape);
+  outside that domain the Weyl route raises and the automatic route falls
+  back to the tableau sum;
+* q(n): Macdonald's sum over S_n/S_(n-d), d the number of rows (Symmetric
+  Functions, III.2), is a DP over the set of positions already given a row:
+  C(n, k) states after k rows instead of n! terms.
+
+The sums over S_n these replace are kept in ``tests/test_characters.py`` as
+the oracle the Weyl routes are swept against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, permutations
 from typing import Sequence
 
 from .errors import (
@@ -84,12 +92,12 @@ def _mixed(barred: Sequence[Fraction], unbarred: Sequence[Fraction]) -> Fraction
     return out
 
 
-def _strict_factor(xs: Sequence[Fraction], d: int) -> Fraction:
-    """prod_{i<d, j>i} (x_i + x_j)/(x_i - x_j)."""
+def _strict_factor(xs: Sequence[Fraction]) -> Fraction:
+    """prod_{i<j} (x_i + x_j)/(x_i - x_j)."""
     out = Fraction(1)
-    for i in range(d):
-        for j in range(i + 1, len(xs)):
-            out *= (xs[i] + xs[j]) / (xs[i] - xs[j])
+    for i, a in enumerate(xs):
+        for b in xs[i + 1:]:
+            out *= (a + b) / (a - b)
     return out
 
 
@@ -242,33 +250,61 @@ def character_polynomial(
 # Weyl-type routes
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every permutation of range(n) with its sign, the parity of its inversions."""
-    return tuple(
-        (perm, (-1) ** sum(a > b for a, b in combinations(perm, 2)))
-        for perm in permutations(range(n))
-    )
-
-
-def _require_distinct(values: Sequence[Fraction], label: str):
-    if len(set(values)) != len(values):
+def _check_values(values: Sequence[Fraction], n: int, label: str):
+    if len(values) != n:
+        raise InvalidInputError(f"{label} takes {n} values, got {len(values)}")
+    if len(set(values)) != n:
         raise SingularEvaluationError(
             f"{label} coordinates must be pairwise distinct for the Weyl-type formula"
         )
 
 
+def _integer_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination; every division is exact.  The rows are overwritten."""
+    size = len(rows)
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot, pivot_row = rows[k][k], rows[k]
+        for row in rows[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+        prev = pivot
+    return sign * rows[-1][-1] if size else 1
+
+
 def weyl_empty_values(n: int, shape: Sequence[int], values: Sequence[Fraction]) -> Fraction:
-    """Weyl character formula for gl(n) at explicit variable values."""
+    """Weyl character formula for gl(n): the alternant det(x_i^(lam_j + n - j))
+    over the Vandermonde determinant.
+
+    With x_i = a_i/d_i, row i of the alternant is scaled by d_i^(lam_1 + n - 1)
+    to an integer row, and the Vandermonde is prod_{i<j} (a_i d_j - a_j d_i)
+    over prod_i d_i^(n - 1), so the ratio is one integer determinant over an
+    integer product.
+    """
     lam = normalize_shape(shape)
-    _require_distinct(values, f"gl({n})")
-    rho = tuple(range(n - 1, -1, -1))
-    v = tuple(a + r for a, r in zip(lam + (0,) * (n - len(lam)), rho))
-    num = Fraction(0)
-    for perm, sign in _signed_permutations(n):
-        num += sign * _power(values, tuple(v[k] for k in perm))
-    # prod_{i<j} (v_i - v_j) = v^rho * prod_{i<j} (1 - v_j/v_i)
-    return num / (_power(values, rho) * _chamber(values))
+    _check_values(values, n, f"gl({n})")
+    padded = (lam + (0,) * n)[:n]
+    exps = [part + n - 1 - j for j, part in enumerate(padded)]
+    top = exps[0] if n else 0
+    nums = [v.numerator for v in values]
+    dens = [v.denominator for v in values]
+    alternant = _integer_det(
+        [[a**e * d ** (top - e) for e in exps] for a, d in zip(nums, dens)]
+    )
+    den = 1
+    for i in range(n):
+        den *= dens[i] ** padded[0]
+        for j in range(i + 1, n):
+            den *= nums[i] * dens[j] - nums[j] * dens[i]
+    return Fraction(alternant, den)
 
 
 def hook_formula_applicable(kind: AlgebraKind, shape: Sequence[int]) -> bool:
@@ -307,21 +343,52 @@ def weyl_hook_values(
 def weyl_strict_values(
     n: int, shape: Sequence[int], values: Sequence[Fraction]
 ) -> Fraction:
-    """Coset sum for q(n), computed as the full S_n sum over (n - d(lam))!.
+    """Macdonald's sum over S_n/S_(n-d) for q(n), d the number of rows of lam.
 
-    The summand is invariant under permutations of the zero coordinates of
-    lam, which is what makes the quotient exact.
+    A coset is a choice of distinct positions h_1, ..., h_d for the rows, and
+    its term is prod_k x_(h_k)^(lam_k) times, for each k, the product of
+    (x_h + x_j)/(x_h - x_j) with h = h_k over every position j not among
+    h_1, ..., h_k.  Those factors depend only on the set already chosen, so
+    the sum is a DP over that set (a bitmask), with x_i = a_i/d_i.  Each set
+    holds an integer numerator over a denominator that depends on the set
+    alone: d_h^(lam_1) for each chosen h and |a_h d_j - a_j d_h| for each pair
+    meeting it.
     """
     lam = normalize_shape(shape)
-    _require_distinct(values, f"q({n})")
-    d = len(lam)
-    padded = lam + (0,) * (n - d)
-    total = Fraction(0)
-    for perm, _ in _signed_permutations(n):
-        xs = tuple(values[k] for k in perm)
-        total += _power(xs, padded) * _strict_factor(xs, d)
-    return total / math.factorial(n - d)
-
+    _check_values(values, n, f"q({n})")
+    nums = [v.numerator for v in values]
+    dens = [v.denominator for v in values]
+    plus = [[a * d2 + a2 * d for a2, d2 in zip(nums, dens)] for a, d in zip(nums, dens)]
+    minus = [[a * d2 - a2 * d for a2, d2 in zip(nums, dens)] for a, d in zip(nums, dens)]
+    top = lam[0] if lam else 0
+    states = {0: [1, 1]}
+    for part in lam:
+        grown: dict[int, list[int]] = {}
+        for chosen, (num, den) in states.items():
+            for h in range(n):
+                key = chosen | 1 << h
+                if key == chosen:
+                    continue
+                up = nums[h] ** part * dens[h] ** (top - part)
+                down = dens[h] ** top
+                for j in range(n):
+                    if not key >> j & 1:
+                        up *= plus[h][j]
+                        down *= minus[h][j]
+                if down < 0:
+                    up, down = -up, -down
+                if key in grown:
+                    grown[key][0] += num * up
+                else:
+                    grown[key] = [num * up, den * down]
+        states = grown
+    # every set's denominator divides the one of the full set
+    full = 1
+    for i in range(n):
+        full *= dens[i] ** top
+        for j in range(i + 1, n):
+            full *= abs(minus[i][j])
+    return Fraction(sum(num * (full // den) for num, den in states.values()), full)
 
 # ---------------------------------------------------------------------------
 # Unified evaluation
@@ -382,7 +449,7 @@ def nabla(kind: AlgebraKind, p: ProbVector) -> Fraction:
     if kind.kind == EMPTY:
         return 1 / _chamber(vals)
     if kind.kind == STRICT:
-        return _strict_factor(vals, kind.n)
+        return _strict_factor(vals)
     barred, unbarred = vals[: kind.m], vals[kind.m:]
     return _mixed(barred, unbarred) / (_chamber(barred) * _chamber(unbarred))
 

@@ -237,6 +237,70 @@ class _ColumnRuns:
         else:
             self.shape[row] += 1
 
+    @classmethod
+    def of_rows(cls, rows) -> "_ColumnRuns":
+        """The empty-kind state holding the tableau with the given rows."""
+        state = cls(False)
+        for col in _rows_to_cols(rows):
+            if state.runs and state.runs[-1][0] == col:
+                state.runs[-1][1] += 1
+            else:
+                state.runs.append([col, 1])
+        state.shape = [len(row) for row in rows]
+        return state
+
+    def pull(self, row: int, column: int) -> int:
+        """Reverse bump for the empty kind, the inverse of ``push``: take out
+        the corner box at (row, column) and return the letter that leaves the
+        first column.
+
+        The entry bumped out of a column was placed there by the largest
+        entry not exceeding it of the column to its left.  In a run of equal
+        columns only the rightmost one changes, and the letter it bumps out
+        passes the others unchanged, so a letter costs a bisection per run.
+        """
+        runs = self.runs
+        k = 0
+        while k < len(runs) and column >= runs[k][1]:
+            column -= runs[k][1]
+            k += 1
+        if k == len(runs) or column != runs[k][1] - 1 or len(runs[k][0]) != row + 1:
+            raise InvalidInputError("recording chain does not match the tableau")
+        k = self._split_last(k)
+        x = runs[k][0].pop()
+        if not runs[k][0]:
+            del runs[k]
+        else:
+            self._merge_right(k)
+        for left in range(k - 1, -1, -1):
+            i = bisect_right(runs[left][0], x) - 1
+            if runs[left][0][i] != x:
+                left = self._split_last(left)
+                col = runs[left][0]
+                x, col[i] = col[i], x
+                self._merge_right(left)
+        self.shape[row] -= 1
+        if not self.shape[row]:
+            self.shape.pop()
+        return x
+
+    def _split_last(self, k: int) -> int:
+        """Give the rightmost column of run k a run of its own; return its
+        index."""
+        run = self.runs[k]
+        if run[1] == 1:
+            return k
+        run[1] -= 1
+        self.runs.insert(k + 1, [run[0].copy(), 1])
+        return k + 1
+
+    def _merge_right(self, k: int) -> None:
+        """Fold the single column of run k into an equal right neighbour."""
+        runs = self.runs
+        if k + 1 < len(runs) and runs[k + 1][0] == runs[k][0]:
+            runs[k + 1][1] += 1
+            del runs[k]
+
     def rows(self) -> tuple[tuple[int, ...], ...]:
         rows: list[list[int]] = [[] for _ in self.shape]
         for col, count in self.runs:
@@ -325,9 +389,11 @@ def rsk_inverse(kind: AlgebraKind, pair: RskPair) -> Word:
 
     Each step removes the box recorded last and walks it back through the
     columns: the entry bumped out of column j was placed there by the largest
-    entry of column j-1 not exceeding it.  For the hook and strict kinds no
-    reverse procedure is provided; their bijectivity is certified by
-    exhaustive forward testing instead.
+    entry of column j-1 not exceeding it.  The columns are held as the
+    forward state holds them, in runs of equal columns searched by bisection
+    (``_ColumnRuns.pull``), so the word costs time linear in its length.
+    For the hook and strict kinds no reverse procedure is provided; their
+    bijectivity is certified by exhaustive forward testing instead.
 
     Raises InvalidInputError unless P is a valid tableau of the kind and Q is
     a chain of valid shapes growing from the empty shape one box at a time.
@@ -344,20 +410,8 @@ def rsk_inverse(kind: AlgebraKind, pair: RskPair) -> Word:
         if not is_valid_shape(kind, large):
             raise InvalidInputError(f"recording chain shape {large} is not a valid shape")
         cells.append(_added_cell(small, large))
-    cols = _rows_to_cols(pair.p.rows)
-    letters: list[int] = []
-    for row, col in reversed(cells):
-        if len(cols[col]) != row + 1:
-            raise InvalidInputError("recording chain does not match the tableau")
-        bumped = cols[col].pop()
-        if not cols[col]:
-            cols.pop()
-        for j in range(col - 1, -1, -1):
-            value = max(t for t in cols[j] if t <= bumped)
-            index = cols[j].index(value)
-            cols[j][index] = bumped
-            bumped = value
-        letters.append(bumped)
+    state = _ColumnRuns.of_rows(pair.p.rows)
+    letters = [state.pull(row, col) for row, col in reversed(cells)]
     letters.reverse()
     return tuple(letters)
 

@@ -1,7 +1,10 @@
 """Dual-route character equality, normalization, nabla and psi behaviour."""
 
+import random
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, permutations
+from math import factorial, prod
 
 import pytest
 
@@ -17,7 +20,14 @@ from superwalk import (
     psi,
     schur,
 )
-from superwalk.characters import character_value, hook_formula_applicable, require_condition
+from superwalk.characters import (
+    _integer_det,
+    character_value,
+    hook_formula_applicable,
+    require_condition,
+    weyl_empty_values,
+    weyl_strict_values,
+)
 from superwalk.errors import FormulaDomainError
 from superwalk.simulate import drift_shape
 from superwalk.suites import condition_points, shapes_up_to
@@ -249,3 +259,97 @@ def test_character_polynomial_cache_evicts_oldest(monkeypatch):
     # an evicted shape is recomputed to the same polynomial
     assert character_polynomial(KE3, (1,)).terms == polys[0].terms
     assert list(characters._char_poly_cache) == [(KE3, lam) for lam in shapes[-2:] + [(1,)]]
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the Weyl routes as plain sums over S_n
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _signed_permutations(n):
+    """Every permutation of range(n) with its sign, the parity of its inversions."""
+    return tuple(
+        (perm, (-1) ** sum(a > b for a, b in combinations(perm, 2)))
+        for perm in permutations(range(n))
+    )
+
+
+def _leibniz_det(rows):
+    n = len(rows)
+    return sum(
+        sign * prod(rows[i][perm[i]] for i in range(n))
+        for perm, sign in _signed_permutations(n)
+    )
+
+
+def _weyl_empty_by_permutations(n, lam, values):
+    """sum_w sign(w) x_w^(lam + rho) over prod_{i<j} (x_i - x_j), with every
+    term over the common denominator prod_i d_i^(lam_1 + n - 1)."""
+    exps = [part + n - 1 - j for j, part in enumerate(lam + (0,) * (n - len(lam)))]
+    top = exps[0]
+    nums = [v.numerator for v in values]
+    dens = [v.denominator for v in values]
+    alternant = sum(
+        sign * prod(nums[h] ** e * dens[h] ** (top - e) for h, e in zip(perm, exps))
+        for perm, sign in _signed_permutations(n)
+    )
+    vandermonde = prod(x - y for i, x in enumerate(values) for y in values[i + 1:])
+    return Fraction(alternant, prod(dens) ** top) / vandermonde
+
+
+def _weyl_strict_by_permutations(n, lam, values):
+    """sum_w w(x^lam prod_{i<d, j>i} (x_i + x_j)/(x_i - x_j)) / (n - d)!."""
+    d = len(lam)
+    total = Fraction(0)
+    for perm, _ in _signed_permutations(n):
+        xs = [values[h] for h in perm]
+        num = prod(x.numerator ** part for x, part in zip(xs, lam))
+        den = prod(x.denominator ** part for x, part in zip(xs, lam))
+        for i in range(d):
+            for y in xs[i + 1:]:
+                num *= xs[i].numerator * y.denominator + y.numerator * xs[i].denominator
+                den *= xs[i].numerator * y.denominator - y.numerator * xs[i].denominator
+        total += Fraction(num, den)
+    return total / factorial(n - d)
+
+
+def _rational_point(seed, n):
+    """n distinct rationals with distinct prime denominators."""
+    rng = random.Random(seed)
+    dens = rng.sample([2, 3, 5, 7, 11, 13, 17, 19, 23], n)
+    return [Fraction(rng.choice([a for a in range(1, 41) if a % d]), d) for d in dens]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_weyl_routes_match_permutation_sums(n):
+    boxes = 8 if n <= 6 else 6
+    for seed in (1, 2):
+        values = _rational_point(seed, n)
+        for lam in shapes_up_to(AlgebraKind.empty(n), boxes):
+            assert weyl_empty_values(n, lam, values) == _weyl_empty_by_permutations(
+                n, lam, values
+            )
+        for lam in shapes_up_to(AlgebraKind.strict(n), boxes):
+            assert weyl_strict_values(n, lam, values) == _weyl_strict_by_permutations(
+                n, lam, values
+            )
+
+
+def test_integer_det_pivot_swap_and_singular():
+    # the second pivot vanishes after the first elimination step
+    swap = [[1, 2, 3], [2, 4, 7], [3, 5, 2]]
+    assert _integer_det([[0, 1], [1, 0]]) == -1
+    assert _integer_det([row.copy() for row in swap]) == _leibniz_det(swap) == 1
+    rows = [[2, -3, 1, 5], [4, -6, 3, 1], [1, 7, -2, 0], [3, 1, 1, 4]]
+    assert _integer_det([row.copy() for row in rows]) == _leibniz_det(rows)
+    assert _integer_det([[1, 2, 3], [2, 4, 6], [3, 6, 9]]) == 0
+    assert _integer_det([[1, 2, 3], [2, 4, 6], [3, 6, 10]]) == 0
+    assert _integer_det([]) == 1
+
+
+def test_weyl_routes_refuse_wrong_length():
+    values = condition_points(KE3)[0].values
+    for route in (weyl_empty_values, weyl_strict_values):
+        for wrong in (values + (Fraction(1, 7),), values[:2]):
+            with pytest.raises(InvalidInputError):
+                route(3, (2, 1), wrong)

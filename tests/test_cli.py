@@ -178,6 +178,26 @@ def test_env_override_budget(monkeypatch, capsys):
     assert code == 3
 
 
+P9 = "9/45,8/45,7/45,6/45,5/45,4/45,3/45,2/45,1/45"
+
+
+@pytest.mark.parametrize(
+    "kind,shape,value",
+    [("strict", "3,2,1", "27104/1366875"), ("empty", "2,1", "44/135")],
+)
+def test_char_weyl_route_at_rank_9(capsys, kind, shape, value):
+    # values printed by the sums over S_9 that the Weyl routes used to take;
+    # those took 52 s (q(9)) and 4 s (gl(9)) on a 2-vCPU VM
+    start = time.perf_counter()
+    code, out = run_cli(
+        capsys,
+        ["char", "--kind", kind, "--n", "9", "--shape", shape, "--p", P9, "--route", "weyl"],
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert json.loads(out)["value"] == value
+
+
 def test_help_on_every_command(capsys):
     for command in ("rsk", "pitman", "char", "multiplicity", "exit-prob",
                     "simulate", "llt", "verify"):

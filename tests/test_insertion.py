@@ -21,8 +21,13 @@ from superwalk import (
     words_with_recording,
 )
 from superwalk.errors import InvalidInputError
-from superwalk.insertion import RskPair, _stream, insertion_trace, rsk_inverse
-from superwalk.tableaux import StandardTableau, enumerate_standard, enumerate_tableaux
+from superwalk.insertion import RskPair, _ColumnRuns, _stream, insertion_trace, rsk_inverse
+from superwalk.tableaux import (
+    StandardTableau,
+    _added_cell,
+    enumerate_standard,
+    enumerate_tableaux,
+)
 
 KE4 = AlgebraKind.empty(4)
 KH23 = AlgebraKind.hook(2, 3)
@@ -229,6 +234,36 @@ def test_rsk_inverse_roundtrip_long_words(data):
     ke = AlgebraKind.empty(data.draw(st.integers(1, 5)))
     word = data.draw(long_words(ke, 200))
     assert rsk_inverse(ke, rsk(ke, word)) == word
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_rsk_inverse_roundtrip_length_5000(n):
+    import random
+
+    ke = AlgebraKind.empty(n)
+    rng = random.Random(5000 + n)
+    word = tuple(rng.choice(ke.alphabet) for _ in range(5000))
+    assert rsk_inverse(ke, rsk(ke, word)) == word
+
+
+def test_reverse_bump_keeps_column_runs_merged():
+    # the reverse bump walks runs of equal columns, so it stays linear only
+    # while neighbouring runs never hold equal columns
+    import random
+
+    ke = AlgebraKind.empty(3)
+    rng = random.Random(11)
+    word = tuple(rng.choice(ke.alphabet) for _ in range(2000))
+    pair = rsk(ke, word)
+    state = _ColumnRuns.of_rows(pair.p.rows)
+    chain = ((),) + pair.q.chain
+    for left, (small, large) in enumerate(reversed(list(zip(chain, chain[1:])))):
+        state.pull(*_added_cell(small, large))
+        runs = state.runs
+        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+        assert sum(len(col) * count for col, count in runs) == len(word) - left - 1
+        assert len(runs) < 20
+    assert state.runs == [] and state.shape == []
 
 
 @pytest.mark.parametrize("kind", [AlgebraKind.empty(3), AlgebraKind.hook(2, 2)],
