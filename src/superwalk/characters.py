@@ -287,11 +287,13 @@ def weyl_empty_values(n: int, shape: Sequence[int], values: Sequence[Fraction]) 
     With x_i = a_i/d_i, row i of the alternant is scaled by d_i^(lam_1 + n - 1)
     to an integer row, and the Vandermonde is prod_{i<j} (a_i d_j - a_j d_i)
     over prod_i d_i^(n - 1), so the ratio is one integer determinant over an
-    integer product.
+    integer product.  A shape with more than n rows gives 0.
     """
     lam = normalize_shape(shape)
     _check_values(values, n, f"gl({n})")
-    padded = (lam + (0,) * n)[:n]
+    if len(lam) > n:
+        return Fraction(0)
+    padded = lam + (0,) * (n - len(lam))
     exps = [part + n - 1 - j for j, part in enumerate(padded)]
     top = exps[0] if n else 0
     nums = [v.numerator for v in values]

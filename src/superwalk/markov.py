@@ -20,12 +20,12 @@ from .kinds import (
     Weight,
     added_coordinate,
     check_shape,
-    contains,
     in_semigroup,
     pi_weight,
-    shape_size,
+    sub_weights,
     successors,
 )
+from .multiplicities import f_skew
 from .tableaux import DEFAULT_BOX_BUDGET
 
 State = tuple
@@ -131,25 +131,16 @@ def doob_transform(kernel: TransitionKernel, h: Callable[[State], Fraction]) -> 
 # ---------------------------------------------------------------------------
 
 def green(kind: AlgebraKind, p: ProbVector, mu: Sequence[int], lam: Sequence[int]) -> Fraction:
-    """Green function of the restricted kernel, by forward dynamic programming.
+    """Green function of the restricted kernel: f^(lam/mu) p^(pi(lam) - pi(mu)).
 
-    The grading makes the Green series a single term: the total probability
-    mass of the one-box chains from mu to lam inside the shape lattice.
+    The grading makes the Green series a single term, the total mass of the
+    one-box chains from mu to lam inside the shape lattice.  Every such chain
+    adds the same boxes, so each has mass p^(pi(lam) - pi(mu)), and the sum is
+    the chain count times that one monomial.
     """
-    mu = check_shape(kind, mu)
-    lam = check_shape(kind, lam)
-    if not contains(kind, lam, mu):
-        return Fraction(0)
-    frontier: dict[Shape, Fraction] = {mu: Fraction(1)}
-    for _ in range(shape_size(lam) - shape_size(mu)):
-        nxt: dict[Shape, Fraction] = {}
-        for nu, mass in frontier.items():
-            for step in successors(kind, nu):
-                if contains(kind, lam, step):
-                    i = added_coordinate(kind, nu, step)
-                    nxt[step] = nxt.get(step, Fraction(0)) + mass * p.values[i]
-        frontier = nxt
-    return frontier.get(lam, Fraction(0))
+    return f_skew(kind, lam, mu) * p.monomial(
+        sub_weights(pi_weight(kind, lam), pi_weight(kind, mu))
+    )
 
 
 def martin_kernel(
@@ -197,16 +188,19 @@ def conditioned_step_kernel(
     kind: AlgebraKind, p: ProbVector, remaining: int
 ) -> TransitionKernel:
     """Exact transition matrix of the walk conditioned to stay for
-    ``remaining`` more steps; used as a finite-horizon reference."""
+    ``remaining`` more steps; used as a finite-horizon reference.  A row's
+    masses p_i stay_(remaining-1)(lam_i) sum to stay_remaining(mu)."""
+    if remaining < 1:
+        raise InvalidInputError(f"remaining must be at least 1, got {remaining}")
 
     def rows(state: Shape):
         mu = check_shape(kind, state)
-        total = stay_probability_truncated(kind, mu, p, remaining)
-        out = []
-        for lam in successors(kind, mu):
-            i = added_coordinate(kind, mu, lam)
-            mass = p.values[i] * stay_probability_truncated(kind, lam, p, remaining - 1)
-            out.append((lam, mass / total))
-        return tuple(out)
+        masses = [
+            (lam, p.values[added_coordinate(kind, mu, lam)]
+             * stay_probability_truncated(kind, lam, p, remaining - 1))
+            for lam in successors(kind, mu)
+        ]
+        total = sum((mass for _, mass in masses), Fraction(0))
+        return tuple((lam, mass / total) for lam, mass in masses)
 
     return TransitionKernel(_rows=rows)

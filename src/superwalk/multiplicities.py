@@ -36,25 +36,32 @@ from .tableaux import DEFAULT_BOX_BUDGET, DEFAULT_NODE_BUDGET, Tableau
 # Chain counts
 # ---------------------------------------------------------------------------
 
-def f_skew(kind: AlgebraKind, outer: Sequence[int], inner: Sequence[int] = ()) -> int:
-    """Number of one-box chains from inner to outer through valid shapes.
-
-    Computed by forward recursion over the interval, not by listing chains,
-    so drift-scale shapes stay cheap.
+def chain_counts(
+    kind: AlgebraKind, inner: Shape, steps: int, outer: Shape | None = None
+) -> dict[Shape, int]:
+    """Number of ``steps``-step one-box chains from ``inner`` through valid
+    shapes (inside ``outer`` if given), by end shape.  A forward recursion
+    over the levels, not a listing of chains, so drift-scale shapes stay cheap.
     """
+    frontier: dict[Shape, int] = {inner: 1}
+    for _ in range(steps):
+        nxt: dict[Shape, int] = {}
+        for nu, cnt in frontier.items():
+            for step in successors(kind, nu):
+                if outer is None or contains(kind, outer, step):
+                    nxt[step] = nxt.get(step, 0) + cnt
+        frontier = nxt
+    return frontier
+
+
+def f_skew(kind: AlgebraKind, outer: Sequence[int], inner: Sequence[int] = ()) -> int:
+    """Number of one-box chains from inner to outer through valid shapes."""
     outer = check_shape(kind, outer)
     inner = check_shape(kind, inner)
     if not contains(kind, outer, inner):
         return 0
-    frontier: dict[Shape, int] = {inner: 1}
-    for _ in range(shape_size(outer) - shape_size(inner)):
-        nxt: dict[Shape, int] = {}
-        for nu, cnt in frontier.items():
-            for step in successors(kind, nu):
-                if contains(kind, outer, step):
-                    nxt[step] = nxt.get(step, 0) + cnt
-        frontier = nxt
-    return frontier.get(outer, 0)
+    steps = shape_size(outer) - shape_size(inner)
+    return chain_counts(kind, inner, steps, outer).get(outer, 0)
 
 
 def f_count(kind: AlgebraKind, shape: Sequence[int]) -> int:
@@ -79,14 +86,7 @@ def kostka(
 
 def shapes_of_size(kind: AlgebraKind, boxes: int) -> list[Shape]:
     """All valid shapes with the given number of boxes, in a stable order."""
-    level = [()]
-    for _ in range(boxes):
-        nxt: dict[Shape, None] = {}
-        for shape in level:
-            for s in successors(kind, shape):
-                nxt[s] = None
-        level = list(nxt)
-    return sorted(level)
+    return sorted(chain_counts(kind, (), boxes))
 
 
 # ---------------------------------------------------------------------------

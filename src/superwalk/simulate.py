@@ -85,10 +85,17 @@ def _frequency_stderr(estimate: float, count: int) -> float:
     return math.sqrt(max(estimate * (1.0 - estimate), 1e-30) / count)
 
 
+def _require_positive(**counts: int):
+    for name, value in counts.items():
+        if value < 1:
+            raise InvalidInputError(f"{name} must be at least 1, got {value}")
+
+
 def estimate_letter_frequencies(
     kind: AlgebraKind, p: ProbVector, paths: int, length: int, rng: RngStream
 ) -> EstimateReport:
     """Empirical letter frequencies of sampled walks."""
+    _require_positive(paths=paths, length=length)
     counts = {letter: 0 for letter in kind.alphabet}
     for _ in range(paths):
         for x in sample_walk(kind, p, length, rng):
@@ -108,6 +115,7 @@ def estimate_shape_law(
     kind: AlgebraKind, p: ProbVector, paths: int, length: int, rng: RngStream
 ) -> EstimateReport:
     """Empirical end-shape distribution of the sampled shape process."""
+    _require_positive(paths=paths, length=length)
     counts: dict[Shape, int] = {}
     for _ in range(paths):
         chain = sample_shape_chain(kind, p, length, rng)
@@ -134,6 +142,7 @@ def estimate_conditioned_acceptance(
     rng: RngStream,
 ) -> EstimateReport:
     """Rejection-sampling acceptance rate of the conditioned walk."""
+    _require_positive(paths=paths, length=length)
     ensemble = sample_conditioned_ensemble(kind, p, length, horizon, paths, rng)
     rate = ensemble.acceptance_rate
     return EstimateReport(

@@ -353,3 +353,14 @@ def test_weyl_routes_refuse_wrong_length():
         for wrong in (values + (Fraction(1, 7),), values[:2]):
             with pytest.raises(InvalidInputError):
                 route(3, (2, 1), wrong)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_weyl_empty_vanishes_beyond_n_rows(n):
+    values = [Fraction(1, k + 2) for k in range(n)]
+    for lam in shapes_up_to(AlgebraKind.empty(7), 7):  # every partition of <= 7
+        value = weyl_empty_values(n, lam, values)
+        if len(lam) > n:
+            assert value == 0
+        else:
+            assert value > 0

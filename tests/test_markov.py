@@ -12,7 +12,6 @@ from superwalk import (
     ProbVector,
     doob_transform,
     f_count,
-    f_skew,
     green,
     martin_kernel,
     pi_restricted,
@@ -26,7 +25,8 @@ from superwalk import (
     successors,
 )
 from superwalk.characters import character_polynomial
-from superwalk.kinds import pi_weight, sub_weights
+from superwalk.kinds import added_coordinate, check_shape, contains, pi_weight, sub_weights
+from superwalk.markov import conditioned_step_kernel
 from superwalk.simulate import drift_shape
 from superwalk.suites import condition_points, shapes_up_to
 
@@ -146,18 +146,32 @@ def test_green_examples():
     assert green(KE2, P2, (3,), (2, 2)) == 0
 
 
+def _green_by_mass_dp(kind, p, mu, lam):
+    """Green function as the total mass of the one-box chains from mu to lam,
+    by a forward Fraction DP over the interval: the oracle of the chain-count
+    identity that ``green`` computes."""
+    mu, lam = check_shape(kind, mu), check_shape(kind, lam)
+    if not contains(kind, lam, mu):
+        return Fraction(0)
+    frontier = {mu: Fraction(1)}
+    for _ in range(sum(lam) - sum(mu)):
+        nxt = {}
+        for nu, mass in frontier.items():
+            for step in successors(kind, nu):
+                if contains(kind, lam, step):
+                    i = added_coordinate(kind, nu, step)
+                    nxt[step] = nxt.get(step, Fraction(0)) + mass * p.values[i]
+        frontier = nxt
+    return frontier.get(lam, Fraction(0))
+
+
 def test_green_matches_skew_counts():
+    # green is f_skew times one monomial; the chain-mass DP is its oracle
     for kind in (KE2, AlgebraKind.hook(2, 2), AlgebraKind.strict(3)):
         p = _prob_for(kind)
         for lam in shapes_up_to(kind, 8):
-            assert green(kind, p, (), lam) == f_count(kind, lam) * p.monomial(
-                pi_weight(kind, lam)
-            )
             for mu in shapes_up_to(kind, 4):
-                expected = f_skew(kind, lam, mu) * p.monomial(
-                    sub_weights(pi_weight(kind, lam), pi_weight(kind, mu))
-                )
-                assert green(kind, p, mu, lam) == expected
+                assert green(kind, p, mu, lam) == _green_by_mass_dp(kind, p, mu, lam)
 
 
 def test_martin_kernel_basics():
@@ -265,8 +279,6 @@ def test_truncated_stay_other_kinds():
 
 
 def test_conditioned_step_kernel_converges_to_pi_shape():
-    from superwalk.markov import conditioned_step_kernel
-
     target = pi_shape(KE2, P2)
     previous = None
     for remaining in (5, 15, 30):
@@ -280,3 +292,32 @@ def test_conditioned_step_kernel_converges_to_pi_shape():
             assert gap < previous
         previous = gap
     assert previous < 1e-3
+
+
+def _conditioned_row_by_stay_total(kind, p, remaining, mu):
+    """Row of the conditioned kernel normalised by a separate truncated-stay
+    DP at mu: the oracle of the library's normalisation by the row's own
+    masses."""
+    total = stay_probability_truncated(kind, mu, p, remaining)
+    return tuple(
+        (lam, p.values[added_coordinate(kind, mu, lam)]
+         * stay_probability_truncated(kind, lam, p, remaining - 1) / total)
+        for lam in successors(kind, mu)
+    )
+
+
+def test_conditioned_rows_match_stay_normalisation():
+    for kind in (KE2, KH11, AlgebraKind.strict(3)):
+        p = _prob_for(kind)
+        for remaining in range(1, 9):
+            kernel = conditioned_step_kernel(kind, p, remaining)
+            for mu in shapes_up_to(kind, 3):
+                assert kernel.successors(mu) == _conditioned_row_by_stay_total(
+                    kind, p, remaining, mu
+                )
+
+
+@pytest.mark.parametrize("remaining", [0, -1])
+def test_conditioned_step_kernel_refuses_short_horizon(remaining):
+    with pytest.raises(InvalidInputError, match="remaining"):
+        conditioned_step_kernel(KE2, P2, remaining)

@@ -74,6 +74,26 @@ def test_total_probability_identity():
             assert total == 1
 
 
+def _shapes_by_bfs(kind, boxes):
+    """Shapes of a level by breadth-first search without chain counts: the
+    oracle of ``shapes_of_size``."""
+    level = [()]
+    for _ in range(boxes):
+        nxt = {}
+        for shape in level:
+            for s in successors(kind, shape):
+                nxt[s] = None
+        level = list(nxt)
+    return sorted(level)
+
+
+def test_shapes_of_size_matches_bfs():
+    kinds = (KE2, KE3, AlgebraKind.hook(1, 1), KH22, KS3, AlgebraKind.strict(4))
+    for kind in kinds:
+        for boxes in range(11):
+            assert shapes_of_size(kind, boxes) == _shapes_by_bfs(kind, boxes)
+
+
 def test_kostka_examples():
     for kind in (KE3, KH22, KS3):
         for lam in shapes_up_to(kind, 5):

@@ -8,6 +8,7 @@ import pytest
 
 from superwalk import (
     AlgebraKind,
+    InvalidInputError,
     ProbVector,
     RngStream,
     SamplingFailureError,
@@ -24,7 +25,12 @@ from superwalk import (
     stay_probability_truncated,
 )
 from superwalk.markov import pi_shape
-from superwalk.simulate import sample_conditioned_ensemble
+from superwalk.simulate import (
+    estimate_conditioned_acceptance,
+    estimate_letter_frequencies,
+    estimate_shape_law,
+    sample_conditioned_ensemble,
+)
 
 KE2 = AlgebraKind.empty(2)
 KS2 = AlgebraKind.strict(2)
@@ -267,3 +273,18 @@ def test_conditioned_walk_pinned_exhaustion():
     with pytest.raises(SamplingFailureError) as info:
         sample_conditioned_walk(KE2, near_uniform, 2, 60, RngStream(2), max_attempts=3)
     assert (info.value.attempts, info.value.accepted) == (3, 0)
+
+
+@pytest.mark.parametrize("paths,length", [(0, 3), (3, 0), (-1, 3), (3, -2)])
+@pytest.mark.parametrize("estimator", ["letters", "shapes", "acceptance"])
+def test_estimators_refuse_empty_samples(estimator, paths, length):
+    calls = {
+        "letters": lambda: estimate_letter_frequencies(KE2, P2, paths, length, RngStream(1)),
+        "shapes": lambda: estimate_shape_law(KE2, P2, paths, length, RngStream(1)),
+        "acceptance": lambda: estimate_conditioned_acceptance(
+            KE2, P2, length, 4, paths, RngStream(1)
+        ),
+    }
+    name = "paths" if paths < 1 else "length"
+    with pytest.raises(InvalidInputError, match=name):
+        calls[estimator]()
