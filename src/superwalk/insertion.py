@@ -11,9 +11,14 @@ The recording side never looks at letters: it is the chain of shapes of the
 insertion tableau over prefixes, which is also the generalized Pitman
 transform of the word.
 
-``pitman``, ``rsk``, ``p_tableau`` and ``q_tableau`` stream the word through
-one mutable insertion state, which grows the shape in place and builds P
-only when asked, once, at the end:
+Each kind has one insertion procedure: the ``push`` of its mutable
+insertion state, which grows the shape in place and builds P only when
+asked.  ``_state(kind, rows)`` loads any valid tableau into it.  ``pitman``,
+``rsk``, ``p_tableau`` and ``q_tableau`` stream the word through one state
+and build P once, at the end; the per-letter ``insert_column`` (empty and
+hook kinds) and ``insert_strict`` load the tableau, push the letter once and
+freeze the result, and ``insertion_trace`` freezes the state after every
+letter.  The states are:
 
 * empty and hook kinds keep the columns as sorted lists, searched by
   bisection, with each run of identical columns stored once with its count.
@@ -25,10 +30,9 @@ only when asked, once, at the end:
   per row.
 
 Each letter then costs time independent of the word length, apart from
-copying the shape into the chain.  The per-letter ``insert_column`` (empty
-and hook kinds) and ``insert_strict``, and ``insertion_trace`` over them,
-rebuild a frozen tableau for every letter; they stay as the reference the
-streaming state is tested against.
+copying the shape into the chain.  The reference the states are tested
+against, the textbook per-letter insertions on frozen rows, lives in
+``tests/test_insertion.py``.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ from .kinds import (
     Shape,
     Word,
     check_word,
-    is_barred,
     is_valid_shape,
 )
 from .tableaux import (
@@ -55,9 +58,7 @@ from .tableaux import (
     StandardTableau,
     Tableau,
     _added_cell,
-    empty_tableau,
     hook_decompose,
-    is_hook_word,
     is_valid_tableau,
 )
 
@@ -75,121 +76,30 @@ class RskPair:
 
 
 # ---------------------------------------------------------------------------
-# Single-letter insertions
+# Insertion states
 # ---------------------------------------------------------------------------
-
-def _rows_to_cols(rows) -> list[list[int]]:
-    if not rows:
-        return []
-    return [
-        [rows[r][c] for r in range(len(rows)) if len(rows[r]) > c]
-        for c in range(len(rows[0]))
-    ]
-
-
-def _cols_to_rows(cols) -> tuple[tuple[int, ...], ...]:
-    if not cols:
-        return ()
-    return tuple(
-        tuple(cols[c][r] for c in range(len(cols)) if len(cols[c]) > r)
-        for r in range(len(cols[0]))
-    )
-
-
-def _insert_columns(kind: AlgebraKind, rows, x: int) -> tuple[tuple[int, ...], ...]:
-    cols = _rows_to_cols(rows)
-    j = 0
-    while True:
-        if j == len(cols):
-            cols.append([x])
-            return _cols_to_rows(cols)
-        col = cols[j]
-        if kind.kind == EMPTY or is_barred(x):
-            if all(t < x for t in col):
-                col.append(x)
-                return _cols_to_rows(cols)
-            y = min(t for t in col if t >= x)
-        else:
-            if all(t <= x for t in col):
-                col.append(x)
-                return _cols_to_rows(cols)
-            y = min(t for t in col if t > x)
-        # replace the highest occurrence of y (the only one unless y repeats)
-        col[col.index(y)] = x
-        x = y
-        j += 1
-
-
-def insert_column(tab: Tableau, x: int) -> Tableau:
-    """Column insertion for gl(n)- and gl(m,n)-tableaux; hook-kind letters
-    bump by the barred/unbarred cases."""
-    if tab.kind.kind == STRICT:
-        raise InvalidInputError("insert_column expects an empty- or hook-kind tableau")
-    tab.kind.letter_index(x)
-    return Tableau(tab.kind, _insert_columns(tab.kind, tab.rows, x))
-
-
-def insert_strict(tab: Tableau, x: int) -> Tableau:
-    """Row insertion for q(n)-tableaux keeping every row a hook word."""
-    if tab.kind.kind != STRICT:
-        raise InvalidInputError("insert_strict expects a strict-kind tableau")
-    tab.kind.letter_index(x)
-    rows = [list(r) for r in tab.rows]
-    i = 0
-    while True:
-        if i == len(rows):
-            rows.append([x])
-            break
-        w = rows[i]
-        if is_hook_word(w + [x]):
-            w.append(x)
-            break
-        down, up = hook_decompose(w)
-        y = min(t for t in up if t >= x)
-        up[up.index(y)] = x
-        z = max(t for t in down if t < y)
-        down[down.index(z)] = y
-        rows[i] = down + up
-        x = z
-        i += 1
-    return Tableau(tab.kind, tuple(tuple(r) for r in rows))
-
-
-def insert(kind: AlgebraKind, tab: Tableau, x: int) -> Tableau:
-    if kind.kind == STRICT:
-        return insert_strict(tab, x)
-    return insert_column(tab, x)
-
-
-# ---------------------------------------------------------------------------
-# P, Q, RSK and Pitman
-# ---------------------------------------------------------------------------
-
-def insertion_trace(kind: AlgebraKind, word: Sequence[int]) -> list[Tableau]:
-    """Tableaux after each prefix of the word (length many entries)."""
-    word = check_word(kind, word)
-    tab = empty_tableau(kind)
-    out = []
-    for x in word:
-        tab = insert(kind, tab, x)
-        out.append(tab)
-    return out
-
 
 class _ColumnRuns:
     """Streaming column insertion for the empty and hook kinds.
 
     ``runs`` lists ``[column, count]`` pairs left to right; each column is a
     sorted list and no two neighbouring runs hold equal columns.  ``shape``
-    is the list of row lengths.
+    is the list of row lengths.  The state starts as the tableau with the
+    given rows, its equal neighbouring columns merged into runs.
     """
 
     __slots__ = ("hook", "runs", "shape")
 
-    def __init__(self, hook: bool):
+    def __init__(self, hook: bool, rows=()):
         self.hook = hook
         self.runs: list[list] = []
-        self.shape: list[int] = []
+        for c in range(len(rows[0]) if rows else 0):
+            col = [row[c] for row in rows if len(row) > c]
+            if self.runs and self.runs[-1][0] == col:
+                self.runs[-1][1] += 1
+            else:
+                self.runs.append([col, 1])
+        self.shape: list[int] = [len(row) for row in rows]
 
     def push(self, x: int) -> None:
         runs = self.runs
@@ -197,8 +107,8 @@ class _ColumnRuns:
         while k < len(runs):
             run = runs[k]
             col = run[0]
-            # the entry ``col.index(min(...))`` picks in ``_insert_columns``;
-            # unbarred hook letters bump the first strictly larger entry
+            # the smallest entry not below x, or for an unbarred hook letter
+            # the smallest entry above it, is bumped
             i = bisect_right(col, x) if self.hook and x > 0 else bisect_left(col, x)
             if i < len(col) and col[i] == x:
                 # x bumps itself out of every column of the run
@@ -236,18 +146,6 @@ class _ColumnRuns:
             self.shape.append(1)
         else:
             self.shape[row] += 1
-
-    @classmethod
-    def of_rows(cls, rows) -> "_ColumnRuns":
-        """The empty-kind state holding the tableau with the given rows."""
-        state = cls(False)
-        for col in _rows_to_cols(rows):
-            if state.runs and state.runs[-1][0] == col:
-                state.runs[-1][1] += 1
-            else:
-                state.runs.append([col, 1])
-        state.shape = [len(row) for row in rows]
-        return state
 
     def pull(self, row: int, column: int) -> int:
         """Reverse bump for the empty kind, the inverse of ``push``: take out
@@ -315,14 +213,18 @@ class _StrictRows:
     ``halves`` lists each row as ``[neg, up]``: ``neg`` holds the negated
     weakly decreasing part (so it is sorted) and ``up`` the strictly
     increasing part, split as ``hook_decompose`` splits the row.  ``shape``
-    is the list of row lengths.
+    is the list of row lengths.  The state starts as the tableau with the
+    given rows.
     """
 
     __slots__ = ("halves", "shape")
 
-    def __init__(self):
+    def __init__(self, rows=()):
         self.halves: list[list[list[int]]] = []
-        self.shape: list[int] = []
+        for row in rows:
+            down, up = hook_decompose(row)
+            self.halves.append([[-t for t in down], up])
+        self.shape: list[int] = [len(row) for row in rows]
 
     def push(self, x: int) -> None:
         shape = self.shape
@@ -352,10 +254,58 @@ class _StrictRows:
         return tuple(tuple(-t for t in neg) + tuple(up) for neg, up in self.halves)
 
 
+# ---------------------------------------------------------------------------
+# Single letters, P, Q, RSK and Pitman
+# ---------------------------------------------------------------------------
+
+def _state(kind: AlgebraKind, rows=()):
+    """The kind's insertion state, holding the tableau with the given rows."""
+    if kind.kind == STRICT:
+        return _StrictRows(rows)
+    return _ColumnRuns(kind.kind == HOOK, rows)
+
+
+def _insert(tab: Tableau, x: int) -> Tableau:
+    """Push one letter into the state loaded with a valid tableau."""
+    tab.kind.letter_index(x)
+    if not is_valid_tableau(tab):
+        raise InvalidInputError(f"{tab.rows} is not a valid {tab.kind.describe()} tableau")
+    state = _state(tab.kind, tab.rows)
+    state.push(x)
+    return Tableau(tab.kind, state.rows())
+
+
+def insert_column(tab: Tableau, x: int) -> Tableau:
+    """Column insertion for gl(n)- and gl(m,n)-tableaux; hook-kind letters
+    bump by the barred/unbarred cases.  Refuses an invalid tableau."""
+    if tab.kind.kind == STRICT:
+        raise InvalidInputError("insert_column expects an empty- or hook-kind tableau")
+    return _insert(tab, x)
+
+
+def insert_strict(tab: Tableau, x: int) -> Tableau:
+    """Row insertion for q(n)-tableaux keeping every row a hook word.
+    Refuses an invalid tableau."""
+    if tab.kind.kind != STRICT:
+        raise InvalidInputError("insert_strict expects a strict-kind tableau")
+    return _insert(tab, x)
+
+
+def insertion_trace(kind: AlgebraKind, word: Sequence[int]) -> list[Tableau]:
+    """Tableaux after each prefix of the word (length many entries)."""
+    word = check_word(kind, word)
+    state = _state(kind)
+    out = []
+    for x in word:
+        state.push(x)
+        out.append(Tableau(kind, state.rows()))
+    return out
+
+
 def _stream(kind: AlgebraKind, word: Sequence[int]):
     """The insertion state after the word, and its chain of prefix shapes."""
     word = check_word(kind, word)
-    state = _StrictRows() if kind.kind == STRICT else _ColumnRuns(kind.kind == HOOK)
+    state = _state(kind)
     shape = state.shape
     chain = []
     for x in word:
@@ -410,7 +360,7 @@ def rsk_inverse(kind: AlgebraKind, pair: RskPair) -> Word:
         if not is_valid_shape(kind, large):
             raise InvalidInputError(f"recording chain shape {large} is not a valid shape")
         cells.append(_added_cell(small, large))
-    state = _ColumnRuns.of_rows(pair.p.rows)
+    state = _state(kind, pair.p.rows)
     letters = [state.pull(row, col) for row, col in reversed(cells)]
     letters.reverse()
     return tuple(letters)

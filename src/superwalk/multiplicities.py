@@ -86,6 +86,8 @@ def kostka(
 
 def shapes_of_size(kind: AlgebraKind, boxes: int) -> list[Shape]:
     """All valid shapes with the given number of boxes, in a stable order."""
+    if boxes < 0:
+        raise InvalidInputError(f"boxes must be nonnegative, got {boxes}")
     return sorted(chain_counts(kind, (), boxes))
 
 

@@ -14,7 +14,6 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, InvalidInputError
 from .kinds import (
-    EMPTY,
     HOOK,
     STRICT,
     AlgebraKind,
@@ -23,7 +22,6 @@ from .kinds import (
     Word,
     check_shape,
     contains,
-    is_barred,
     is_valid_shape,
     normalize_shape,
     shape_size,
@@ -169,23 +167,23 @@ def is_valid_tableau(tab: Tableau) -> bool:
             if longest_hook_subword(rows[i + 1] + rows[i]) != len(rows[i]):
                 return False
         return True
-    # empty / hook: row and column conditions on the left-justified diagram
-    for row in rows:
-        for a, b in zip(row, row[1:]):
-            if b < a:
-                return False
-            if b == a and kind.kind == HOOK and not is_barred(a):
-                return False
-    for c in range(lengths[0] if rows else 0):
-        col = [rows[r][c] for r in range(len(rows)) if lengths[r] > c]
-        for a, b in zip(col, col[1:]):
-            if b < a:
-                return False
-            if b == a and kind.kind == EMPTY:
-                return False
-            if b == a and kind.kind == HOOK and is_barred(a):
-                return False
-    return True
+    return all(
+        _may_follow(kind, x, row[c - 1] if c else None, rows[r - 1][c] if r else None)
+        for r, row in enumerate(rows)
+        for c, x in enumerate(row)
+    )
+
+
+def _may_follow(kind: AlgebraKind, x: int, left: int | None, up: int | None) -> bool:
+    """The empty/hook cell rule on the left-justified diagram: may x sit
+    right of ``left`` and below ``up`` (None where there is no neighbour)?
+
+    Rows weakly and columns strictly increase, except that an unbarred
+    (positive) hook-kind letter may repeat down a column and not along a row.
+    """
+    if x > 0 and kind.kind == HOOK:
+        return (left is None or x > left) and (up is None or x >= up)
+    return (left is None or x >= left) and (up is None or x > up)
 
 
 def reading(tab: Tableau) -> Word:
@@ -252,28 +250,15 @@ def _enumerate_grid(kind, lam, counter) -> list[tuple[tuple[int, ...], ...]]:
     grid = [[0] * length for length in lam]
     out: list[tuple[tuple[int, ...], ...]] = []
 
-    def admissible(r: int, c: int, x: int) -> bool:
-        if c > 0:
-            left = grid[r][c - 1]
-            if x < left:
-                return False
-            if x == left and kind.kind == HOOK and not is_barred(x):
-                return False
-        if r > 0:
-            up = grid[r - 1][c]
-            if x < up:
-                return False
-            if x == up and (kind.kind == EMPTY or is_barred(x)):
-                return False
-        return True
-
     def rec(k: int):
         if k == len(cells):
             out.append(tuple(tuple(row) for row in grid))
             return
         r, c = cells[k]
+        left = grid[r][c - 1] if c else None
+        up = grid[r - 1][c] if r else None
         for x in alphabet:
-            if admissible(r, c, x):
+            if _may_follow(kind, x, left, up):
                 counter.tick()
                 grid[r][c] = x
                 rec(k + 1)

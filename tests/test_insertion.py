@@ -1,4 +1,9 @@
-"""Insertion traces against the worked examples, plus structural properties."""
+"""Insertion traces against the worked examples, plus structural properties.
+
+The library has one insertion procedure per kind, the ``push`` of its
+streaming state.  The per-letter insertions below, on frozen rows, are the
+oracle it is tested against.
+"""
 
 from bisect import bisect_left, bisect_right
 from itertools import product
@@ -21,13 +26,102 @@ from superwalk import (
     words_with_recording,
 )
 from superwalk.errors import InvalidInputError
-from superwalk.insertion import RskPair, _ColumnRuns, _stream, insertion_trace, rsk_inverse
+from superwalk.insertion import RskPair, _state, _stream, insertion_trace, rsk_inverse
+from superwalk.kinds import EMPTY, STRICT, check_word, is_barred
+from superwalk.multiplicities import shapes_of_size
 from superwalk.tableaux import (
     StandardTableau,
     _added_cell,
+    empty_tableau,
     enumerate_standard,
     enumerate_tableaux,
+    hook_decompose,
+    is_hook_word,
 )
+
+# ---------------------------------------------------------------------------
+# Per-letter oracle: column and hook-word row insertion on frozen rows
+# ---------------------------------------------------------------------------
+
+def _rows_to_cols(rows) -> list[list[int]]:
+    if not rows:
+        return []
+    return [
+        [rows[r][c] for r in range(len(rows)) if len(rows[r]) > c]
+        for c in range(len(rows[0]))
+    ]
+
+
+def _cols_to_rows(cols) -> tuple[tuple[int, ...], ...]:
+    if not cols:
+        return ()
+    return tuple(
+        tuple(cols[c][r] for c in range(len(cols)) if len(cols[c]) > r)
+        for r in range(len(cols[0]))
+    )
+
+
+def _insert_columns(kind: AlgebraKind, rows, x: int) -> tuple[tuple[int, ...], ...]:
+    cols = _rows_to_cols(rows)
+    j = 0
+    while True:
+        if j == len(cols):
+            cols.append([x])
+            return _cols_to_rows(cols)
+        col = cols[j]
+        if kind.kind == EMPTY or is_barred(x):
+            if all(t < x for t in col):
+                col.append(x)
+                return _cols_to_rows(cols)
+            y = min(t for t in col if t >= x)
+        else:
+            if all(t <= x for t in col):
+                col.append(x)
+                return _cols_to_rows(cols)
+            y = min(t for t in col if t > x)
+        # replace the highest occurrence of y (the only one unless y repeats)
+        col[col.index(y)] = x
+        x = y
+        j += 1
+
+
+def _insert_strict(tab: Tableau, x: int) -> Tableau:
+    rows = [list(r) for r in tab.rows]
+    i = 0
+    while True:
+        if i == len(rows):
+            rows.append([x])
+            break
+        w = rows[i]
+        if is_hook_word(w + [x]):
+            w.append(x)
+            break
+        down, up = hook_decompose(w)
+        y = min(t for t in up if t >= x)
+        up[up.index(y)] = x
+        z = max(t for t in down if t < y)
+        down[down.index(z)] = y
+        rows[i] = down + up
+        x = z
+        i += 1
+    return Tableau(tab.kind, tuple(tuple(r) for r in rows))
+
+
+def _insert(kind: AlgebraKind, tab: Tableau, x: int) -> Tableau:
+    if kind.kind == STRICT:
+        return _insert_strict(tab, x)
+    return Tableau(kind, _insert_columns(kind, tab.rows, x))
+
+
+def _insertion_trace(kind: AlgebraKind, word) -> list[Tableau]:
+    word = check_word(kind, word)
+    tab = empty_tableau(kind)
+    out = []
+    for x in word:
+        tab = _insert(kind, tab, x)
+        out.append(tab)
+    return out
+
 
 KE4 = AlgebraKind.empty(4)
 KH23 = AlgebraKind.hook(2, 3)
@@ -219,13 +313,58 @@ def long_words(draw, kind, max_length):
 @given(data=st.data())
 def test_streaming_insertion_matches_per_letter_oracle(kind, data):
     word = data.draw(long_words(kind, 300))
-    trace = insertion_trace(kind, word)
+    trace = _insertion_trace(kind, word)
     chain = tuple(t.shape for t in trace)
     p = trace[-1] if trace else Tableau(kind, ())
     assert pitman(kind, word) == chain
     assert q_tableau(kind, word) == StandardTableau(chain)
     assert p_tableau(kind, word) == p
     assert rsk(kind, word) == RskPair(p, StandardTableau(chain))
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [AlgebraKind.empty(3), AlgebraKind.hook(2, 2), AlgebraKind.hook(1, 3), AlgebraKind.strict(3)],
+    ids=lambda k: k.describe(),
+)
+def test_per_letter_insert_matches_oracle_exhaustively(kind):
+    # every valid tableau of at most five boxes, loaded into the streaming
+    # state, takes every letter as the per-letter oracle does
+    insert = insert_strict if kind.kind == STRICT else insert_column
+    tableaux = [t for b in range(6) for lam in shapes_of_size(kind, b)
+                for t in enumerate_tableaux(kind, lam)]
+    assert len(tableaux) > 100
+    for tab in tableaux:
+        state = _state(kind, tab.rows)
+        assert state.rows() == tab.rows
+        if kind.kind != STRICT:
+            runs = state.runs
+            assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+        for x in kind.alphabet:
+            assert insert(tab, x) == _insert(kind, tab, x)
+
+
+# tableaux that fail is_valid_tableau, with the rows the per-letter entry
+# points returned for them before they checked their input
+INVALID_INSERTS = [
+    pytest.param(AlgebraKind.empty(3), ((3, 1),), 2, ((2, 1),), id="gl(3)-row-descends"),
+    pytest.param(AlgebraKind.empty(3), ((1,), (1,)), 1, ((1, 1), (1,)), id="gl(3)-column-repeats"),
+    pytest.param(AlgebraKind.hook(1, 2), ((2, 2),), 1, ((1, 2),), id="gl(1,2)-unbarred-row-repeat"),
+    pytest.param(AlgebraKind.strict(3), ((1, 1, 2), (3,)), 1, ((2, 1, 1), (3, 1)),
+                 id="q(3)-row-not-maximal"),
+    pytest.param(AlgebraKind.strict(3), ((),), 1, ((1,),), id="q(3)-empty-row"),
+]
+
+
+@pytest.mark.parametrize("kind,rows,letter,parent_rows", INVALID_INSERTS)
+def test_per_letter_insert_refuses_invalid_tableau(kind, rows, letter, parent_rows):
+    tab = Tableau(kind, rows)
+    assert not is_valid_tableau(tab)
+    insert = insert_strict if kind.kind == STRICT else insert_column
+    with pytest.raises(InvalidInputError):
+        insert(tab, letter)
+    # the oracle, which trusts its input, still returns what the entry point did
+    assert _insert(kind, tab, letter).rows == parent_rows
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -255,7 +394,7 @@ def test_reverse_bump_keeps_column_runs_merged():
     rng = random.Random(11)
     word = tuple(rng.choice(ke.alphabet) for _ in range(2000))
     pair = rsk(ke, word)
-    state = _ColumnRuns.of_rows(pair.p.rows)
+    state = _state(ke, pair.p.rows)
     chain = ((),) + pair.q.chain
     for left, (small, large) in enumerate(reversed(list(zip(chain, chain[1:])))):
         state.pull(*_added_cell(small, large))

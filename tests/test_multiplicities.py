@@ -94,6 +94,13 @@ def test_shapes_of_size_matches_bfs():
             assert shapes_of_size(kind, boxes) == _shapes_by_bfs(kind, boxes)
 
 
+@pytest.mark.parametrize("boxes", [-1, -5])
+def test_shapes_of_size_refuses_negative_boxes(boxes):
+    for kind in (KE2, KH22, KS3):
+        with pytest.raises(InvalidInputError):
+            shapes_of_size(kind, boxes)
+
+
 def test_kostka_examples():
     for kind in (KE3, KH22, KS3):
         for lam in shapes_up_to(kind, 5):
