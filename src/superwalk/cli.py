@@ -4,13 +4,16 @@ Exit codes: 0 success, 1 internal check failed, 2 bad input, 3 resource
 budget exceeded.  Rationals are serialized as "num/den" strings; floats
 appear only in Monte Carlo estimate columns.  Defaults can be overridden by
 SUPERWALK_* environment variables, which are checked by the same argparse
-types as the flags.  Output is written atomically when --output is given.
+types as the flags.  The parser is built once per process; ``main`` reads
+the SUPERWALK_* variables on every call, not at import.  Output is written
+atomically when --output is given.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -82,21 +85,19 @@ def _int_tuple(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected integers such as 1,0, got {text!r}") from None
 
 
-def _add_common(parser: argparse.ArgumentParser, native: str, kinded: bool = True):
-    # SUPERWALK_* defaults stay strings: argparse runs string defaults
-    # through ``type``, so they are checked exactly like the flags.
+def _add_common(parser: argparse.ArgumentParser, native: str, env: list, kinded: bool = True):
     if kinded:
         parser.add_argument("--kind", choices=(EMPTY, HOOK, STRICT), required=True)
         parser.add_argument("--n", type=int, required=True)
         parser.add_argument("--m", type=int, default=0, help="barred rank (hook kind only)")
-    parser.add_argument("--budget", type=POSITIVE, default=os.environ.get("SUPERWALK_BUDGET", "8"))
-    parser.add_argument("--output", default=os.environ.get("SUPERWALK_OUTPUT"))
-    parser.add_argument(
+    env.append((parser.add_argument("--budget", type=POSITIVE), "SUPERWALK_BUDGET", "8"))
+    env.append((parser.add_argument("--output"), "SUPERWALK_OUTPUT", None))
+    format_ = parser.add_argument(
         "--format",
         choices=("json", "csv"),
-        default=os.environ.get("SUPERWALK_FORMAT"),
         help="output format; each command has one native format",
     )
+    env.append((format_, "SUPERWALK_FORMAT", None))
     parser.set_defaults(native=native)
 
 
@@ -331,17 +332,27 @@ def cmd_verify(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process.
+
+    It reads no environment variable.  Its ``env_defaults`` lists the
+    (action, SUPERWALK_* variable, fallback) triples that ``main`` turns
+    into defaults before each parse.  Those defaults stay strings: argparse
+    runs a string default through the action's ``type`` only when the flag
+    is absent from a command that has it, so a value is checked exactly like
+    the flag, and a command reads only its own variables.
+    """
     parser = argparse.ArgumentParser(
         prog="superwalk",
         description="Exact tableau combinatorics and conditioned one-way simple walks.",
     )
     parser.add_argument("--version", action="version", version=f"superwalk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    horizon = os.environ.get("SUPERWALK_HORIZON", "30")
+    env: list = []
 
     p_rsk = sub.add_parser("rsk", help="insertion and recording tableaux of a word")
-    _add_common(p_rsk, "json")
+    _add_common(p_rsk, "json", env)
     p_rsk.add_argument(
         "word",
         help="word such as 232143 or -23-2 (barred letters negative; place a "
@@ -350,44 +361,44 @@ def build_parser() -> argparse.ArgumentParser:
     p_rsk.set_defaults(func=cmd_rsk)
 
     p_pit = sub.add_parser("pitman", help="prefix shape sequence of a word as JSON lines")
-    _add_common(p_pit, "json")
+    _add_common(p_pit, "json", env)
     p_pit.add_argument("word")
     p_pit.set_defaults(func=cmd_pitman)
 
     p_char = sub.add_parser("char", help="exact character evaluation")
-    _add_common(p_char, "json")
+    _add_common(p_char, "json", env)
     p_char.add_argument("--shape", required=True)
     p_char.add_argument("--p", required=True, help='rationals such as "1/2,1/3,1/6"')
     p_char.add_argument("--route", choices=("tableaux", "weyl", "both"), default="both")
     p_char.set_defaults(func=cmd_char)
 
     p_mult = sub.add_parser("multiplicity", help="tensor product decomposition")
-    _add_common(p_mult, "json")
+    _add_common(p_mult, "json", env)
     p_mult.add_argument("--kappa", required=True)
     p_mult.add_argument("--mu", required=True)
     p_mult.set_defaults(func=cmd_multiplicity)
 
     p_exit = sub.add_parser("exit-prob", help="stay probabilities, closed form and truncated")
-    _add_common(p_exit, "csv")
+    _add_common(p_exit, "csv", env)
     p_exit.add_argument("--shape", default="0")
     p_exit.add_argument("--p", required=True)
-    p_exit.add_argument("--horizon", type=NONNEGATIVE, default=horizon)
+    env.append((p_exit.add_argument("--horizon", type=NONNEGATIVE), "SUPERWALK_HORIZON", "30"))
     p_exit.set_defaults(func=cmd_exit_prob)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo experiments with exact references")
-    _add_common(p_sim, "csv")
+    _add_common(p_sim, "csv", env)
     p_sim.add_argument("--p", required=True)
     p_sim.add_argument(
         "--experiment", choices=("letters", "shape-law", "conditioned"), default="letters"
     )
     p_sim.add_argument("--paths", type=POSITIVE, default=10000)
-    p_sim.add_argument("--length", type=POSITIVE, default=os.environ.get("SUPERWALK_LENGTH", "4"))
-    p_sim.add_argument("--horizon", type=NONNEGATIVE, default=horizon)
-    p_sim.add_argument("--seed", type=int, default=os.environ.get("SUPERWALK_SEED", "20120214"))
+    env.append((p_sim.add_argument("--length", type=POSITIVE), "SUPERWALK_LENGTH", "4"))
+    env.append((p_sim.add_argument("--horizon", type=NONNEGATIVE), "SUPERWALK_HORIZON", "30"))
+    env.append((p_sim.add_argument("--seed", type=int), "SUPERWALK_SEED", "20120214"))
     p_sim.set_defaults(func=cmd_simulate)
 
     p_llt = sub.add_parser("llt", help="exact-DP drift trend experiments")
-    _add_common(p_llt, "csv")
+    _add_common(p_llt, "csv", env)
     p_llt.add_argument("--p", required=True)
     p_llt.add_argument("--mode", choices=("quotient", "asympt"), default="quotient")
     p_llt.add_argument(
@@ -402,14 +413,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--m", type=int, default=None)
     p_verify.add_argument("--length", type=POSITIVE, default=None)
-    _add_common(p_verify, "json", kinded=False)
+    _add_common(p_verify, "json", env, kinded=False)
     p_verify.set_defaults(func=cmd_verify)
 
+    parser.env_defaults = tuple(env)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    for action, variable, fallback in parser.env_defaults:
+        action.default = os.environ.get(variable, fallback)
+    args = parser.parse_args(argv)
     try:
         if args.format not in (None, args.native):
             raise InvalidInputError(f"this command emits {args.native} output only")

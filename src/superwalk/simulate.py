@@ -117,8 +117,7 @@ def estimate_shape_law(
     """Empirical end-shape distribution of the sampled shape process."""
     _require_positive(paths=paths, length=length)
     counts: dict[Shape, int] = {}
-    for _ in range(paths):
-        chain = sample_shape_chain(kind, p, length, rng)
+    for chain in _shape_chains(pi_shape(kind, p), paths, length, rng):
         counts[chain[-1]] = counts.get(chain[-1], 0) + 1
     estimates = {
         "shape " + ",".join(map(str, lam)): c / paths
@@ -168,14 +167,26 @@ def sample_shape_chain(
     kind: AlgebraKind, p: ProbVector, length: int, rng: RngStream
 ) -> tuple[Shape, ...]:
     """Markov chain of the shape process sampled directly from its kernel."""
-    kernel = pi_shape(kind, p)
-    state: Shape = ()
-    out = []
-    for _ in range(length):
-        rows = kernel.successors(state)
-        state = _pick(_cumulative(rows), rng.draw_bits())
-        out.append(state)
-    return tuple(out)
+    return next(_shape_chains(pi_shape(kind, p), 1, length, rng))
+
+
+def _shape_chains(kernel, paths: int, length: int, rng: RngStream):
+    """Yield ``paths`` chains of ``length`` steps from the empty shape.
+
+    The chains share one kernel and its cumulative rows, which depend only
+    on the kind and the law; each step takes one draw.
+    """
+    cumulative: dict[Shape, list] = {}
+    for _ in range(paths):
+        state: Shape = ()
+        out = []
+        for _ in range(length):
+            row = cumulative.get(state)
+            if row is None:
+                row = cumulative[state] = _cumulative(kernel.successors(state))
+            state = _pick(row, rng.draw_bits())
+            out.append(state)
+        yield tuple(out)
 
 
 def _accepted_prefixes(

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from superwalk.cli import main
+from superwalk.cli import build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SCHEMA_DIR = Path(__file__).parent.parent / "src" / "superwalk" / "schemas"
@@ -176,6 +176,58 @@ def test_env_override_budget(monkeypatch, capsys):
          "--p", "2/3,1/3", "--route", "tableaux"],
     )
     assert code == 3
+
+
+SIM_SMALL = ["simulate", "--kind", "empty", "--n", "2", "--p", "2/3,1/3", "--paths", "50"]
+
+
+@pytest.mark.parametrize(
+    "calls",
+    [
+        [({}, 0), ({"SUPERWALK_BUDGET": "abc"}, 2), ({"SUPERWALK_SEED": "x"}, 2), ({}, 0)],
+        # a bad value present when the parser is first built poisons no later call
+        [({"SUPERWALK_SEED": "x"}, 2), ({"SUPERWALK_BUDGET": "abc"}, 2), ({}, 0), ({}, 0)],
+    ],
+    ids=["clean-first", "bad-first"],
+)
+def test_environment_read_on_every_call(monkeypatch, capsys, calls):
+    build_parser.cache_clear()
+    clean = []
+    for env, expected in calls:
+        for key in ("SUPERWALK_BUDGET", "SUPERWALK_SEED"):
+            monkeypatch.delenv(key, raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        try:
+            code = main(SIM_SMALL)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == expected, (env, captured.err)
+        if env:
+            assert captured.out == ""
+            assert "error:" in captured.err and "Traceback" not in captured.err
+        else:
+            clean.append(captured.out)
+    assert len(clean) == 2 and clean[0] == clean[1]
+
+
+def test_environment_read_only_by_its_command(monkeypatch, capsys):
+    build_parser.cache_clear()
+    monkeypatch.setenv("SUPERWALK_SEED", "x")
+    code, out = run_cli(capsys, GOLDEN_COMMANDS["rsk_empty.json"])
+    assert code == 0
+    assert out == (GOLDEN_DIR / "rsk_empty.json").read_text()
+
+    monkeypatch.delenv("SUPERWALK_SEED")
+    argv = ["exit-prob", "--kind", "empty", "--n", "2", "--p", "2/3,1/3"]
+    monkeypatch.setenv("SUPERWALK_HORIZON", "3")
+    _, short = run_cli(capsys, argv)
+    monkeypatch.delenv("SUPERWALK_HORIZON")
+    _, default = run_cli(capsys, argv)
+    # two comment/header lines, then one row per horizon
+    assert len(short.splitlines()) == 2 + 3
+    assert len(default.splitlines()) == 2 + 30
 
 
 P9 = "9/45,8/45,7/45,6/45,5/45,4/45,3/45,2/45,1/45"

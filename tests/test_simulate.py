@@ -79,6 +79,31 @@ def test_shape_chain_law_matches_exact():
     assert sample_shape_chain(KE2, P2, 1, RngStream(1)) == ((1,),)
 
 
+@pytest.mark.parametrize(
+    "kind,laws",
+    [
+        (AlgebraKind.empty(3), ("1/2,1/3,1/6", "3/5,1/5,1/5")),
+        (AlgebraKind.hook(2, 2), ("4/10,3/10,2/10,1/10", "1/4,1/4,1/4,1/4")),
+        (AlgebraKind.strict(3), ("1/2,1/3,1/6", "2/5,2/5,1/5")),
+    ],
+)
+def test_shape_law_estimate_matches_chain_loop(kind, laws):
+    # one kernel per estimate, draw for draw the same as one kernel per path;
+    # the second law in the same process would catch a kernel kept across laws
+    paths, length, seed = 100, 3, 5
+    for law in laws:
+        p = ProbVector.parse(kind, law)
+        rng = RngStream(seed)
+        report = estimate_shape_law(kind, p, paths, length, rng)
+        loop_rng = RngStream(seed)
+        counts = {}
+        for _ in range(paths):
+            end = ",".join(map(str, sample_shape_chain(kind, p, length, loop_rng)[-1]))
+            counts["shape " + end] = counts.get("shape " + end, 0) + 1
+        assert report.estimates == {k: c / paths for k, c in counts.items()}
+        assert rng.draw_bits() == loop_rng.draw_bits()
+
+
 def test_two_shape_samplers_agree_in_exact_law():
     # full enumeration: the pushforward of the word law under the Pitman map
     # equals the kernel chain law at every length up to four
