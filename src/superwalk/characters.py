@@ -156,6 +156,12 @@ class ProbVector:
         return [f"{v.numerator}/{v.denominator}" for v in self.values]
 
 
+def check_length(kind: AlgebraKind, values: Sequence) -> None:
+    """Refuse values over another alphabet, which would give wrong results."""
+    if len(values) != kind.N:
+        raise InvalidInputError(f"expected {kind.N} values, got {len(values)}")
+
+
 def require_condition(p: ProbVector):
     if not p.satisfies_condition():
         raise InvalidInputError(
@@ -417,8 +423,7 @@ def character_value(
 ) -> Fraction:
     """Evaluate the character at arbitrary positive rational values."""
     lam = check_shape(kind, shape)
-    if len(values) != kind.N:
-        raise InvalidInputError(f"expected {kind.N} values, got {len(values)}")
+    check_length(kind, values)
     if any(v <= 0 for v in values):
         raise InvalidInputError("character values must be positive")
     if route == "auto":

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .characters import ProbVector, nabla, psi, require_condition, schur
+from .characters import ProbVector, check_length, nabla, psi, require_condition, schur
 from .errors import ContractViolationError, InvalidInputError, UndefinedKernelError
 from .kinds import (
     AlgebraKind,
@@ -54,6 +54,7 @@ class TransitionKernel:
 
 def pi_walk(kind: AlgebraKind, p: ProbVector) -> TransitionKernel:
     """One-way simple walk on the weight lattice: step e_i with probability p_i."""
+    check_length(kind, p.values)
 
     def rows(state: Weight):
         if len(state) != kind.N:
@@ -69,6 +70,7 @@ def pi_walk(kind: AlgebraKind, p: ProbVector) -> TransitionKernel:
 
 def pi_restricted(kind: AlgebraKind, p: ProbVector) -> TransitionKernel:
     """Restriction of the walk kernel to the shape lattice (substochastic)."""
+    check_length(kind, p.values)
 
     def rows(state: Shape):
         mu = check_shape(kind, state)
@@ -136,8 +138,10 @@ def green(kind: AlgebraKind, p: ProbVector, mu: Sequence[int], lam: Sequence[int
     The grading makes the Green series a single term, the total mass of the
     one-box chains from mu to lam inside the shape lattice.  Every such chain
     adds the same boxes, so each has mass p^(pi(lam) - pi(mu)), and the sum is
-    the chain count times that one monomial.
+    the chain count times that one monomial; from the empty shape the count
+    is the hook-length or Thrall closed form of :func:`f_count`.
     """
+    check_length(kind, p.values)
     return f_skew(kind, lam, mu) * p.monomial(
         sub_weights(pi_weight(kind, lam), pi_weight(kind, mu))
     )
@@ -146,7 +150,8 @@ def green(kind: AlgebraKind, p: ProbVector, mu: Sequence[int], lam: Sequence[int
 def martin_kernel(
     kind: AlgebraKind, p: ProbVector, mu: Sequence[int], lam: Sequence[int]
 ) -> Fraction:
-    """Ratio Green(mu, lam) / Green(empty, lam) with the empty reference point."""
+    """Ratio Green(mu, lam) / Green(empty, lam) = f^(lam/mu) p^(-pi(mu)) / f^lam;
+    f^lam is the closed form of :func:`f_count`, f^(lam/mu) the chain DP."""
     denom = green(kind, p, (), lam)
     if denom == 0:
         raise UndefinedKernelError(f"Green function vanishes at {tuple(lam)}")
@@ -171,6 +176,7 @@ def stay_probability_truncated(
     the closed form."""
     if horizon < 0:
         raise InvalidInputError("horizon must be nonnegative")
+    check_length(kind, p.values)
     start = pi_weight(kind, check_shape(kind, lam))
     frontier: dict[Weight, Fraction] = {start: Fraction(1)}
     for _ in range(horizon):
@@ -192,6 +198,7 @@ def conditioned_step_kernel(
     masses p_i stay_(remaining-1)(lam_i) sum to stay_remaining(mu)."""
     if remaining < 1:
         raise InvalidInputError(f"remaining must be at least 1, got {remaining}")
+    check_length(kind, p.values)
 
     def rows(state: Shape):
         mu = check_shape(kind, state)

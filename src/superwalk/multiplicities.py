@@ -11,6 +11,7 @@ ballot reading.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,10 +19,12 @@ from .characters import SparseCharacter, character_polynomial
 from .errors import BudgetExceededError, DecompositionError, InvalidInputError
 from .kinds import (
     HOOK,
+    STRICT,
     AlgebraKind,
     Shape,
     Weight,
     check_shape,
+    conjugate,
     contains,
     in_semigroup,
     pi_weight,
@@ -56,8 +59,10 @@ def chain_counts(
 
 def f_skew(kind: AlgebraKind, outer: Sequence[int], inner: Sequence[int] = ()) -> int:
     """Number of one-box chains from inner to outer through valid shapes."""
-    outer = check_shape(kind, outer)
     inner = check_shape(kind, inner)
+    if not inner:
+        return f_count(kind, outer)
+    outer = check_shape(kind, outer)
     if not contains(kind, outer, inner):
         return 0
     steps = shape_size(outer) - shape_size(inner)
@@ -65,8 +70,29 @@ def f_skew(kind: AlgebraKind, outer: Sequence[int], inner: Sequence[int] = ()) -
 
 
 def f_count(kind: AlgebraKind, shape: Sequence[int]) -> int:
-    """Multiplicity of the shape's irreducible in the |shape|-th tensor power."""
-    return f_skew(kind, shape, ())
+    """Multiplicity of the shape's irreducible in the |shape|-th tensor power,
+    the number f^lam of one-box chains from the empty shape to lam.
+
+    Valid shapes form an order ideal, so such a chain is a standard Young
+    tableau (empty, hook kinds) or a standard shifted one (strict kind), and
+    is counted in integers with one exact division: |lam|!/prod hooks (Frame,
+    Robinson and Thrall 1954) or |lam|!/prod lam_i! * prod_(i<j) (lam_i -
+    lam_j)/(lam_i + lam_j) (Thrall 1952).  chain_counts is the test oracle.
+    """
+    lam = check_shape(kind, shape)
+    num, den = math.factorial(shape_size(lam)), 1
+    if kind.kind == STRICT:
+        for i, a in enumerate(lam):
+            den *= math.factorial(a)
+            for b in lam[i + 1:]:
+                num *= a - b
+                den *= a + b
+    else:
+        cols = conjugate(lam)
+        for i, row in enumerate(lam):
+            for j in range(row):
+                den *= row - j + cols[j] - i - 1
+    return num // den
 
 
 def kostka(
@@ -86,8 +112,8 @@ def kostka(
 
 def shapes_of_size(kind: AlgebraKind, boxes: int) -> list[Shape]:
     """All valid shapes with the given number of boxes, in a stable order."""
-    if boxes < 0:
-        raise InvalidInputError(f"boxes must be nonnegative, got {boxes}")
+    if not isinstance(boxes, int) or boxes < 0:
+        raise InvalidInputError(f"boxes must be a nonnegative integer, got {boxes!r}")
     return sorted(chain_counts(kind, (), boxes))
 
 

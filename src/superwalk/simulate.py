@@ -329,6 +329,8 @@ def _repair_decreasing(coords: list[int], strict: bool = False) -> list[int]:
 
 def drift_shape(kind: AlgebraKind, p: ProbVector, scale: int) -> Shape:
     """Nearest valid shape to ``scale`` times the drift vector."""
+    if scale < 0:
+        raise InvalidInputError(f"scale must be nonnegative, got {scale}")
     return nearest_shape(kind, [scale * v for v in p.values])
 
 
@@ -373,6 +375,7 @@ def quotient_llt_experiment(
     is None when g - gamma leaves the shape lattice.
     """
     require_condition(p)
+    _require_positive(l_max=l_max)
     gamma = tuple(gamma)
     if len(gamma) != kind.N:
         raise InvalidInputError(f"gamma has length {len(gamma)}, expected {kind.N}")
@@ -402,6 +405,7 @@ def asympt_multiplicity_experiment(
 ) -> TrendReport:
     """Exact skew/straight chain-count ratio along the drift, trending to s_mu(p)."""
     require_condition(p)
+    _require_positive(l_max=l_max)
     mu = check_shape(kind, mu)
     target = schur(kind, mu, p)
     rows = []

@@ -33,7 +33,9 @@ from superwalk.suites import condition_points, shapes_up_to
 KE2 = AlgebraKind.empty(2)
 KS2 = AlgebraKind.strict(2)
 KH11 = AlgebraKind.hook(1, 1)
+KE3 = AlgebraKind.empty(3)
 P2 = ProbVector.parse(KE2, "2/3,1/3")
+P3 = ProbVector.parse(KE3, "1/2,1/3,1/6")
 
 
 def _prob_for(kind):
@@ -321,3 +323,20 @@ def test_conditioned_rows_match_stay_normalisation():
 def test_conditioned_step_kernel_refuses_short_horizon(remaining):
     with pytest.raises(InvalidInputError, match="remaining"):
         conditioned_step_kernel(KE2, P2, remaining)
+
+
+# Each function on a kind of N letters given a law over another alphabet.
+WRONG_LAW_CALLS = {
+    "green": lambda: green(AlgebraKind.hook(2, 2), P3, (), (1, 1)),
+    "martin_kernel": lambda: martin_kernel(AlgebraKind.hook(2, 2), P3, (1,), (2, 1)),
+    "stay_probability_truncated": lambda: stay_probability_truncated(KE3, (), P2, 3),
+    "conditioned_step_kernel": lambda: conditioned_step_kernel(KE3, P2, 2),
+    "pi_walk": lambda: pi_walk(KE3, P2),
+    "pi_restricted": lambda: pi_restricted(AlgebraKind.hook(2, 2), P3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_LAW_CALLS))
+def test_law_of_wrong_length_refused(name):
+    with pytest.raises(InvalidInputError, match=r"expected \d values, got \d"):
+        WRONG_LAW_CALLS[name]()

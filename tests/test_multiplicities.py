@@ -28,6 +28,7 @@ from superwalk.characters import SparseCharacter, character_value
 from superwalk.kinds import sub_weights
 from superwalk.multiplicities import (
     _decompose_greedy,
+    chain_counts,
     dec_skew_coefficient_identity,
     lr_reading_word,
     shapes_of_size,
@@ -60,6 +61,25 @@ def test_f_counts_match_chain_enumeration():
             for nu in shapes_up_to(kind, 4):
                 expected = len(enumerate_standard(kind, lam, nu))
                 assert f_skew(kind, lam, nu) == expected
+
+
+CLOSED_FORM_KINDS = (
+    KE3, AlgebraKind.empty(4), AlgebraKind.hook(1, 1), KH22, AlgebraKind.hook(1, 3),
+    AlgebraKind.hook(3, 1), KS3, AlgebraKind.strict(4),
+)
+
+
+@pytest.mark.parametrize("kind", CLOSED_FORM_KINDS, ids=lambda k: k.describe())
+def test_f_count_closed_forms_match_chain_dp(kind):
+    # the hook-length and Thrall formulas against the chain DP they replace:
+    # every shape of at most ten boxes, and one shape at drift scale
+    for boxes in range(11):
+        for lam, count in chain_counts(kind, (), boxes).items():
+            assert f_count(kind, lam) == count
+            assert f_skew(kind, lam) == count
+    lam = drift_shape(kind, condition_points(kind)[0], 30)
+    assert sum(lam) >= 30
+    assert f_count(kind, lam) == chain_counts(kind, (), sum(lam), lam)[lam]
 
 
 def test_total_probability_identity():
@@ -98,6 +118,13 @@ def test_shapes_of_size_matches_bfs():
 def test_shapes_of_size_refuses_negative_boxes(boxes):
     for kind in (KE2, KH22, KS3):
         with pytest.raises(InvalidInputError):
+            shapes_of_size(kind, boxes)
+
+
+@pytest.mark.parametrize("boxes", [2.5, "3", None])
+def test_shapes_of_size_refuses_non_integer_boxes(boxes):
+    for kind in (KE2, KH22, KS3):
+        with pytest.raises(InvalidInputError, match="boxes"):
             shapes_of_size(kind, boxes)
 
 

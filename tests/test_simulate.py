@@ -313,3 +313,20 @@ def test_estimators_refuse_empty_samples(estimator, paths, length):
     name = "paths" if paths < 1 else "length"
     with pytest.raises(InvalidInputError, match=name):
         calls[estimator]()
+
+
+@pytest.mark.parametrize("l_max", [0, -3])
+def test_trend_experiments_refuse_empty_range(l_max):
+    with pytest.raises(InvalidInputError, match="l_max"):
+        quotient_llt_experiment(KE2, P2, (1, 0), l_max)
+    with pytest.raises(InvalidInputError, match="l_max"):
+        asympt_multiplicity_experiment(KE2, P2, (1,), l_max)
+
+
+def test_drift_shape_refuses_negative_scale():
+    # scale 0 is the empty shape, the start of every drift sweep
+    for kind, p in ((KE2, P2), (KS2, ProbVector(KS2, P2.values)),
+                    (KH11, ProbVector(KH11, P2.values))):
+        assert drift_shape(kind, p, 0) == ()
+        with pytest.raises(InvalidInputError, match="scale"):
+            drift_shape(kind, p, -1)
