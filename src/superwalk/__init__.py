@@ -17,7 +17,6 @@ from .errors import (
     SamplingFailureError,
     SingularEvaluationError,
     SuperwalkError,
-    UndefinedKernelError,
 )
 from .kinds import (
     AlgebraKind,

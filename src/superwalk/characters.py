@@ -424,6 +424,8 @@ def character_value(
     """Evaluate the character at arbitrary positive rational values."""
     lam = check_shape(kind, shape)
     check_length(kind, values)
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        raise InvalidInputError("character values must be ints or Fractions")
     if any(v <= 0 for v in values):
         raise InvalidInputError("character values must be positive")
     if route == "auto":

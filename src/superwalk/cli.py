@@ -21,7 +21,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .characters import ProbVector, character_value, schur
+from .characters import ProbVector, character_value
 from .errors import (
     BudgetExceededError,
     InvalidInputError,
@@ -41,7 +41,7 @@ from .kinds import (
     word_to_json,
 )
 from .markov import stay_probability, stay_probability_truncated
-from .multiplicities import decompose_product, f_count, lr_count
+from .multiplicities import decompose_product, lr_count
 from .simulate import (
     RngStream,
     asympt_multiplicity_experiment,
@@ -233,7 +233,7 @@ def cmd_exit_prob(args) -> int:
     kind = _kind_from(args)
     shape = parse_shape(kind, args.shape)
     p = ProbVector.parse(kind, args.p)
-    closed = stay_probability(kind, shape, p)
+    closed = stay_probability(kind, shape, p, budget=args.budget)
     rows = []
     for horizon in range(1, args.horizon + 1):
         truncated = stay_probability_truncated(kind, shape, p, horizon)
@@ -251,24 +251,12 @@ def cmd_simulate(args) -> int:
     rng = RngStream(args.seed)
     if args.experiment == "letters":
         report = estimate_letter_frequencies(kind, p, args.paths, args.length, rng)
-        references = {
-            f"letter {letter}": p.prob(letter) for letter in kind.alphabet
-        }
     elif args.experiment == "shape-law":
-        report = estimate_shape_law(kind, p, args.paths, args.length, rng)
-        references = {}
-        for target in report.estimates:
-            lam = parse_shape(kind, target.removeprefix("shape "))
-            references[target] = f_count(kind, lam) * schur(
-                kind, lam, p, budget=args.budget
-            )
+        report = estimate_shape_law(kind, p, args.paths, args.length, rng, budget=args.budget)
     else:
         report = estimate_conditioned_acceptance(
             kind, p, args.length, args.horizon, args.paths, rng
         )
-        references = {
-            "acceptance": stay_probability_truncated(kind, (), p, args.horizon)
-        }
     header = [
         "experiment", "kind", "n", "m", "p", "seed", "count",
         "target", "estimate", "stderr", "reference", "sigma_distance",
@@ -278,8 +266,8 @@ def cmd_simulate(args) -> int:
     rows = []
     for target, estimate in report.estimates.items():
         stderr = report.stderrs[target]
-        reference = references[target]
-        distance = abs(estimate - float(reference)) / stderr if stderr else 0.0
+        reference = report.references[target]
+        distance = abs(estimate - float(reference)) / stderr
         rows.append(
             config + [target, f"{estimate:.10g}", f"{stderr:.6g}",
                       format_rational(reference), f"{distance:.4g}"]
@@ -295,7 +283,7 @@ def cmd_llt(args) -> int:
         report = quotient_llt_experiment(kind, p, args.gamma, args.lmax)
     else:
         mu = parse_shape(kind, args.mu)
-        report = asympt_multiplicity_experiment(kind, p, mu, args.lmax)
+        report = asympt_multiplicity_experiment(kind, p, mu, args.lmax, budget=args.budget)
     rows = []
     for row in report.rows:
         value = "" if row.value is None else format_rational(row.value)

@@ -29,10 +29,6 @@ class DecompositionError(ContractViolationError):
     """Greedy elimination met a negative or non-dominant leading term."""
 
 
-class UndefinedKernelError(SuperwalkError):
-    """Martin kernel requested at a point where the Green function vanishes."""
-
-
 class SamplingFailureError(SuperwalkError):
     """Rejection sampling exhausted its attempt budget.
 

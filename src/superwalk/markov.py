@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .characters import ProbVector, check_length, nabla, psi, require_condition, schur
-from .errors import ContractViolationError, InvalidInputError, UndefinedKernelError
+from .errors import ContractViolationError, InvalidInputError
 from .kinds import (
     AlgebraKind,
     Shape,
@@ -151,10 +151,9 @@ def martin_kernel(
     kind: AlgebraKind, p: ProbVector, mu: Sequence[int], lam: Sequence[int]
 ) -> Fraction:
     """Ratio Green(mu, lam) / Green(empty, lam) = f^(lam/mu) p^(-pi(mu)) / f^lam;
-    f^lam is the closed form of :func:`f_count`, f^(lam/mu) the chain DP."""
+    f^lam is the closed form of :func:`f_count`, f^(lam/mu) the chain DP;
+    the denominator never vanishes, as f^lam >= 1 and every p_i > 0."""
     denom = green(kind, p, (), lam)
-    if denom == 0:
-        raise UndefinedKernelError(f"Green function vanishes at {tuple(lam)}")
     return green(kind, p, mu, lam) / denom
 
 
@@ -162,10 +161,13 @@ def martin_kernel(
 # Stay probabilities
 # ---------------------------------------------------------------------------
 
-def stay_probability(kind: AlgebraKind, lam: Sequence[int], p: ProbVector) -> Fraction:
-    """Closed form psi(lam) / nabla for the walk started at lam."""
+def stay_probability(
+    kind: AlgebraKind, lam: Sequence[int], p: ProbVector, budget: int = DEFAULT_BOX_BUDGET
+) -> Fraction:
+    """Closed form psi(lam) / nabla for the walk started at lam; ``budget``
+    bounds the character evaluation inside psi."""
     require_condition(p)
-    return psi(kind, lam, p) / nabla(kind, p)
+    return psi(kind, lam, p, budget=budget) / nabla(kind, p)
 
 
 def stay_probability_truncated(

@@ -2,8 +2,8 @@
 
 Sampling is exact: letters are drawn by comparing 64 random bits against
 rational cumulative probabilities, so a seed determines the sample sequence
-bit for bit.  Monte Carlo estimates are floats; every reference value they
-are compared against is exact rational computed elsewhere in the package.
+bit for bit.  Monte Carlo estimates are floats; each report carries the
+exact rational value of every estimate, computed elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from .kinds import (
     pi_weight,
     shape_from_weight,
 )
-from .markov import green, pi_shape
+from .markov import green, pi_shape, stay_probability_truncated
 from .multiplicities import f_count, f_skew
+from .tableaux import DEFAULT_BOX_BUDGET
 
 _BITS = 64
 _SCALE = 1 << _BITS
@@ -69,16 +70,18 @@ def _cumulative(pairs):
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Monte Carlo point estimates with their standard errors.
+    """Monte Carlo point estimates with their standard errors and the exact
+    value each one estimates.
 
     For the indicator frequencies reported here the standard error is the
-    sample standard deviation over the square root of the count.
+    sample standard deviation over the square root of the count.  The three
+    dicts share their keys.
     """
 
     estimates: dict
     stderrs: dict
     count: int
-    config: dict
+    references: dict[str, Fraction]
 
 
 def _frequency_stderr(estimate: float, count: int) -> float:
@@ -91,44 +94,49 @@ def _require_positive(**counts: int):
             raise InvalidInputError(f"{name} must be at least 1, got {value}")
 
 
+def _frequency_report(counts: dict[str, int], total: int, references: dict) -> EstimateReport:
+    """Frequencies count/total of the labelled events, against exact ``references``."""
+    estimates = {k: c / total for k, c in counts.items()}
+    return EstimateReport(
+        estimates=estimates,
+        stderrs={k: _frequency_stderr(v, total) for k, v in estimates.items()},
+        count=total,
+        references=references,
+    )
+
+
 def estimate_letter_frequencies(
     kind: AlgebraKind, p: ProbVector, paths: int, length: int, rng: RngStream
 ) -> EstimateReport:
-    """Empirical letter frequencies of sampled walks."""
+    """Empirical letter frequencies of sampled walks; letter i estimates p_i."""
     _require_positive(paths=paths, length=length)
     counts = {letter: 0 for letter in kind.alphabet}
     for _ in range(paths):
         for x in sample_walk(kind, p, length, rng):
             counts[x] += 1
-    total = paths * length
-    estimates = {f"letter {letter}": c / total for letter, c in counts.items()}
-    return EstimateReport(
-        estimates=estimates,
-        stderrs={k: _frequency_stderr(v, total) for k, v in estimates.items()},
-        count=total,
-        config={"kind": kind.kind, "n": kind.n, "m": kind.m,
-                "paths": paths, "length": length, "seed": rng.seed},
+    return _frequency_report(
+        {f"letter {letter}": c for letter, c in counts.items()},
+        paths * length,
+        {f"letter {letter}": p.prob(letter) for letter in kind.alphabet},
     )
 
 
 def estimate_shape_law(
-    kind: AlgebraKind, p: ProbVector, paths: int, length: int, rng: RngStream
+    kind: AlgebraKind, p: ProbVector, paths: int, length: int, rng: RngStream,
+    budget: int = DEFAULT_BOX_BUDGET,
 ) -> EstimateReport:
-    """Empirical end-shape distribution of the sampled shape process."""
+    """Empirical end-shape distribution of the sampled shape process; shape
+    lam estimates f^lam s_lam(p).  ``budget`` bounds the character
+    evaluations of the kernel and of the references alike."""
     _require_positive(paths=paths, length=length)
     counts: dict[Shape, int] = {}
-    for chain in _shape_chains(pi_shape(kind, p), paths, length, rng):
+    for chain in _shape_chains(pi_shape(kind, p, budget), paths, length, rng):
         counts[chain[-1]] = counts.get(chain[-1], 0) + 1
-    estimates = {
-        "shape " + ",".join(map(str, lam)): c / paths
-        for lam, c in sorted(counts.items())
-    }
-    return EstimateReport(
-        estimates=estimates,
-        stderrs={k: _frequency_stderr(v, paths) for k, v in estimates.items()},
-        count=paths,
-        config={"kind": kind.kind, "n": kind.n, "m": kind.m,
-                "paths": paths, "length": length, "seed": rng.seed},
+    label = {lam: "shape " + ",".join(map(str, lam)) for lam in sorted(counts)}
+    return _frequency_report(
+        {label[lam]: counts[lam] for lam in label},
+        paths,
+        {label[lam]: f_count(kind, lam) * schur(kind, lam, p, budget=budget) for lam in label},
     )
 
 
@@ -140,16 +148,13 @@ def estimate_conditioned_acceptance(
     paths: int,
     rng: RngStream,
 ) -> EstimateReport:
-    """Rejection-sampling acceptance rate of the conditioned walk."""
-    _require_positive(paths=paths, length=length)
+    """Rejection-sampling acceptance rate of the conditioned walk; it
+    estimates the truncated stay probability at the horizon."""
     ensemble = sample_conditioned_ensemble(kind, p, length, horizon, paths, rng)
-    rate = ensemble.acceptance_rate
-    return EstimateReport(
-        estimates={"acceptance": rate},
-        stderrs={"acceptance": _frequency_stderr(rate, ensemble.attempts)},
-        count=ensemble.attempts,
-        config={"kind": kind.kind, "n": kind.n, "m": kind.m, "paths": paths,
-                "length": length, "horizon": horizon, "seed": rng.seed},
+    return _frequency_report(
+        {"acceptance": ensemble.paths},
+        ensemble.attempts,
+        {"acceptance": stay_probability_truncated(kind, (), p, horizon)},
     )
 
 
@@ -269,12 +274,12 @@ def sample_conditioned_ensemble(
     max_attempts: int | None = None,
 ) -> ConditionedEnsemble:
     """Collect transitions over the first ``length`` steps of many accepted paths."""
+    _require_positive(paths=paths, length=length)
     limit = max_attempts if max_attempts is not None else 400 * paths
     transition_counts: dict[tuple[Shape, Shape], int] = {}
     visit_counts: dict[Shape, int] = {}
-    accepted = attempts = 0
+    attempts = 0
     for attempts, prefix in _accepted_prefixes(kind, p, length, horizon, paths, limit, rng):
-        accepted += 1
         prev: Shape = ()
         for w in prefix:
             cur = shape_from_weight(kind, w)
@@ -283,7 +288,7 @@ def sample_conditioned_ensemble(
             transition_counts[key] = transition_counts.get(key, 0) + 1
             prev = cur
     return ConditionedEnsemble(
-        paths=accepted,
+        paths=paths,
         attempts=attempts,
         transition_counts=transition_counts,
         visit_counts=visit_counts,
@@ -362,6 +367,16 @@ def _final_quartile_deviation(rows, target: Fraction) -> float:
     return max(devs) if devs else math.inf
 
 
+def _drift_trend(
+    kind: AlgebraKind, p: ProbVector, l_max: int, target: Fraction, value
+) -> TrendReport:
+    """The drift loop of both experiments: one row of ``value(g)`` at each
+    g = nearest valid shape to step * drift, for steps 1 to ``l_max``."""
+    shapes = (drift_shape(kind, p, step) for step in range(1, l_max + 1))
+    rows = tuple(TrendRow(step, g, value(g)) for step, g in enumerate(shapes, 1))
+    return TrendReport(rows, target, _final_quartile_deviation(rows, target))
+
+
 def quotient_llt_experiment(
     kind: AlgebraKind,
     p: ProbVector,
@@ -379,22 +394,16 @@ def quotient_llt_experiment(
     gamma = tuple(gamma)
     if len(gamma) != kind.N:
         raise InvalidInputError(f"gamma has length {len(gamma)}, expected {kind.N}")
-    rows = []
-    for step in range(1, l_max + 1):
-        g = drift_shape(kind, p, step)
+
+    def ratio(g: Shape) -> Fraction | None:
         reduced = tuple(a - b for a, b in zip(pi_weight(kind, g), gamma))
         try:
             shifted = shape_from_weight(kind, reduced)
         except InvalidInputError:
-            rows.append(TrendRow(step, g, None))
-            continue
-        denom = green(kind, p, (), g)
-        if denom == 0:
-            rows.append(TrendRow(step, g, None))
-            continue
-        rows.append(TrendRow(step, g, green(kind, p, (), shifted) / denom))
-    rows = tuple(rows)
-    return TrendReport(rows, Fraction(1), _final_quartile_deviation(rows, Fraction(1)))
+            return None
+        return green(kind, p, (), shifted) / green(kind, p, (), g)
+
+    return _drift_trend(kind, p, l_max, Fraction(1), ratio)
 
 
 def asympt_multiplicity_experiment(
@@ -402,19 +411,14 @@ def asympt_multiplicity_experiment(
     p: ProbVector,
     mu: Sequence[int],
     l_max: int,
+    budget: int = DEFAULT_BOX_BUDGET,
 ) -> TrendReport:
-    """Exact skew/straight chain-count ratio along the drift, trending to s_mu(p)."""
+    """Exact skew/straight chain-count ratio along the drift, trending to
+    s_mu(p); ``budget`` bounds the evaluation of s_mu(p)."""
     require_condition(p)
     _require_positive(l_max=l_max)
     mu = check_shape(kind, mu)
-    target = schur(kind, mu, p)
-    rows = []
-    for step in range(1, l_max + 1):
-        g = drift_shape(kind, p, step)
-        denom = f_count(kind, g)
-        if denom == 0:
-            rows.append(TrendRow(step, g, None))
-            continue
-        rows.append(TrendRow(step, g, Fraction(f_skew(kind, g, mu), denom)))
-    rows = tuple(rows)
-    return TrendReport(rows, target, _final_quartile_deviation(rows, target))
+    target = schur(kind, mu, p, budget=budget)
+    return _drift_trend(
+        kind, p, l_max, target, lambda g: Fraction(f_skew(kind, g, mu), f_count(kind, g))
+    )

@@ -87,6 +87,8 @@ def test_character_value_refuses_bad_values(kind, route):
     good = condition_points(kind)[0].values
     bad = [good[:i] + (Fraction(0),) + good[i + 1:] for i in range(kind.N)]
     bad += [(Fraction(-1, 2),) + good[1:], good[:-1], good + (Fraction(1, 7),)]
+    # floats are not exact rationals
+    bad += [tuple(float(v) for v in good), good[:-1] + (0.25,)]
     for values in bad:
         with pytest.raises(InvalidInputError):
             character_value(kind, (2, 1), values, route=route)

@@ -145,6 +145,27 @@ def test_exit_code_budget(capsys):
     assert code == 3
 
 
+GL22 = ["--kind", "hook", "--m", "2", "--n", "2", "--p", "4/10,3/10,2/10,1/10"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exit-prob", *GL22, "--shape", "9", "--horizon", "3"],
+        ["llt", *GL22, "--mode", "asympt", "--mu", "9", "--lmax", "3"],
+        ["simulate", "--kind", "empty", "--n", "2", "--p", "1/2,1/2",
+         "--experiment", "shape-law", "--length", "9"],
+    ],
+    ids=["exit-prob", "llt-asympt", "simulate-shape-law"],
+)
+def test_budget_reaches_every_character_evaluation(capsys, argv):
+    # each command evaluates a character of a nine-box shape; the short horizon
+    # and drift range keep the exact DPs after it small
+    assert run_cli(capsys, argv + ["--budget", "12"])[0] == 0
+    assert main(argv + ["--budget", "8"]) == 3
+    assert "budget is 8" in capsys.readouterr().err
+
+
 def test_empty_word_ok(capsys):
     code, out = run_cli(capsys, ["rsk", "--kind", "empty", "--n", "2", ""])
     assert code == 0

@@ -221,17 +221,23 @@ def test_estimate_reports():
     assert report.count == 2000
     assert abs(sum(report.estimates.values()) - 1) < 1e-12
     assert set(report.estimates) == set(report.stderrs) == {"letter 1", "letter 2"}
-    assert report.config["seed"] == 2
+    assert report.references == {"letter 1": Fraction(2, 3), "letter 2": Fraction(1, 3)}
     for target, est in report.estimates.items():
         expected = math.sqrt(est * (1 - est) / report.count)
         assert abs(report.stderrs[target] - expected) < 1e-15
 
     law = estimate_shape_law(KE2, P2, 300, 2, RngStream(3))
     assert set(law.estimates) <= {"shape 2", "shape 1,1"}
+    assert law.references == {
+        label: f_count(KE2, lam) * schur(KE2, lam, P2)
+        for label, lam in (("shape 2", (2,)), ("shape 1,1", (1, 1)))
+        if label in law.estimates
+    }
 
     acc = estimate_conditioned_acceptance(KE2, P2, 2, 8, 200, RngStream(4))
     assert 0 < acc.estimates["acceptance"] < 1
     assert acc.count >= 200
+    assert acc.references == {"acceptance": stay_probability_truncated(KE2, (), P2, 8)}
 
 
 def test_asympt_multiplicity_trends():
@@ -301,12 +307,15 @@ def test_conditioned_walk_pinned_exhaustion():
 
 
 @pytest.mark.parametrize("paths,length", [(0, 3), (3, 0), (-1, 3), (3, -2)])
-@pytest.mark.parametrize("estimator", ["letters", "shapes", "acceptance"])
+@pytest.mark.parametrize("estimator", ["letters", "shapes", "acceptance", "ensemble"])
 def test_estimators_refuse_empty_samples(estimator, paths, length):
     calls = {
         "letters": lambda: estimate_letter_frequencies(KE2, P2, paths, length, RngStream(1)),
         "shapes": lambda: estimate_shape_law(KE2, P2, paths, length, RngStream(1)),
         "acceptance": lambda: estimate_conditioned_acceptance(
+            KE2, P2, length, 4, paths, RngStream(1)
+        ),
+        "ensemble": lambda: sample_conditioned_ensemble(
             KE2, P2, length, 4, paths, RngStream(1)
         ),
     }
