@@ -40,7 +40,6 @@ from .tableaux import (
     enumerate_tableaux,
     is_hook_word,
     is_valid_tableau,
-    longest_hook_subword,
     reading,
 )
 from .insertion import (

@@ -86,7 +86,12 @@ class AlgebraKind:
         return tuple(range(1, self.n + 1))
 
     def letter_index(self, letter: int) -> int:
-        """Position of ``letter`` in the alphabet (also its weight coordinate)."""
+        """Position of ``letter`` in the alphabet (also its weight coordinate).
+
+        Letters are ``int``s; a float or a ``bool`` is refused like any
+        other letter outside the alphabet."""
+        if type(letter) is not int:
+            raise InvalidInputError(f"letter {letter!r} is not an integer")
         if self.kind == HOOK and -self.m <= letter <= -1:
             return letter + self.m
         if 1 <= letter <= self.n:

@@ -1,14 +1,29 @@
 """Semistandard tableaux for the three kinds, plus standard shape chains.
 
 A tableau is stored as its rows (tuples of letters).  For the strict kind the
-rows live on the shifted diagram, but the shift only affects drawings: the
-defining conditions are that every row word is a hook word and that each row
-word is a hook subword of maximal length in the concatenation of the row
-below it with itself.
+rows live on the shifted diagram, but the shift only affects drawings.
+
+One rule defines validity for all three kinds: a filling with a valid shape,
+nonempty rows and letters of the alphabet is a tableau iff pushing its
+reading word through the kind's insertion state gives its rows back, since
+insertion builds only tableaux and rebuilds each from its reading word.  The
+cell rule (empty and hook kinds) and GHSKM row maximality (strict kind) are
+its test oracles.  ``_state(kind)`` is the empty state of a kind and
+``_tableau_state(tab)`` the state holding a valid tableau.  The states are:
+
+* empty and hook kinds keep the columns as sorted lists, searched by
+  bisection, with each run of identical columns stored once with its count.
+  A letter that bumps itself passes a whole run at once, so a letter costs
+  a bisection per run, plus one step per column for an unbarred hook letter
+  (at most ``n`` of them).  The number of runs does not grow with the word;
+* the strict kind keeps each row as its decreasing part (negated, so that
+  it bisects) and its increasing part, so a letter costs a bisection or two
+  per row.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -21,6 +36,7 @@ from .kinds import (
     Weight,
     Word,
     check_shape,
+    check_word,
     contains,
     is_valid_shape,
     normalize_shape,
@@ -59,29 +75,6 @@ def is_hook_word(word: Sequence[int]) -> bool:
     if any(b <= a for a, b in zip(up, up[1:])):
         return False
     return not up or up[0] > down[-1]
-
-
-def longest_hook_subword(word: Sequence[int]) -> int:
-    """Length of the longest (non-contiguous) hook subword.
-
-    A hook subword through pivot position i is a weakly decreasing subword
-    ending at i glued to a strictly increasing subword starting at i, so the
-    answer is max over i of dec(i) + inc(i) - 1.
-    """
-    L = len(word)
-    if L == 0:
-        return 0
-    dec = [1] * L
-    for i in range(L):
-        for j in range(i):
-            if word[j] >= word[i]:
-                dec[i] = max(dec[i], dec[j] + 1)
-    inc = [1] * L
-    for i in range(L - 1, -1, -1):
-        for j in range(i + 1, L):
-            if word[j] > word[i]:
-                inc[i] = max(inc[i], inc[j] + 1)
-    return max(dec[i] + inc[i] - 1 for i in range(L))
 
 
 def iter_hook_words(n: int, length: int) -> Iterator[tuple[int, ...]]:
@@ -147,31 +140,9 @@ def empty_tableau(kind: AlgebraKind) -> Tableau:
 
 
 def is_valid_tableau(tab: Tableau) -> bool:
-    """Check the kind-specific semistandard conditions."""
-    kind = tab.kind
-    rows = tab.rows
-    lengths = [len(r) for r in rows]
-    if any(l == 0 for l in lengths) or not is_valid_shape(kind, lengths):
-        return bool(not rows)
-    try:
-        for row in rows:
-            for x in row:
-                kind.letter_index(x)
-    except InvalidInputError:
-        return False
-    if kind.kind == STRICT:
-        for row in rows:
-            if not is_hook_word(row):
-                return False
-        for i in range(len(rows) - 1):
-            if longest_hook_subword(rows[i + 1] + rows[i]) != len(rows[i]):
-                return False
-        return True
-    return all(
-        _may_follow(kind, x, row[c - 1] if c else None, rows[r - 1][c] if r else None)
-        for r, row in enumerate(rows)
-        for c, x in enumerate(row)
-    )
+    """True iff the filling is a tableau of its kind: insertion gives its
+    rows back from its reading word."""
+    return _tableau_state(tab) is not None
 
 
 def _may_follow(kind: AlgebraKind, x: int, left: int | None, up: int | None) -> bool:
@@ -201,6 +172,203 @@ def reading(tab: Tableau) -> Word:
     for row in tab.rows:
         out.extend(reversed(row))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Insertion states
+# ---------------------------------------------------------------------------
+
+class _ColumnRuns:
+    """Streaming column insertion for the empty and hook kinds.
+
+    ``runs`` lists ``[column, count]`` pairs left to right; each column is a
+    sorted list and no two neighbouring runs hold equal columns.  ``shape``
+    is the list of row lengths.
+    """
+
+    __slots__ = ("hook", "runs", "shape")
+
+    def __init__(self, hook: bool):
+        self.hook = hook
+        self.runs: list[list] = []
+        self.shape: list[int] = []
+
+    def push(self, x: int) -> None:
+        runs = self.runs
+        k = 0
+        while k < len(runs):
+            run = runs[k]
+            col = run[0]
+            # the smallest entry not below x, or for an unbarred hook letter
+            # the smallest entry above it, is bumped
+            i = bisect_right(col, x) if self.hook and x > 0 else bisect_left(col, x)
+            if i < len(col) and col[i] == x:
+                # x bumps itself out of every column of the run
+                k += 1
+                continue
+            if run[1] > 1:
+                # only the first column of the run changes: split it off
+                run[1] -= 1
+                col = col.copy()
+                run = [col, 1]
+                runs.insert(k, run)
+            grown = i == len(col)
+            if grown:
+                col.append(x)
+            else:
+                x, col[i] = col[i], x
+            # columns grow entrywise to the right, so the changed column can
+            # equal its left neighbour only
+            if k and runs[k - 1][0] == col:
+                runs[k - 1][1] += 1
+                del runs[k]
+                k -= 1
+            if grown:
+                self._grow(i)
+                return
+            k += 1
+        if runs and runs[-1][0] == [x]:
+            runs[-1][1] += 1
+        else:
+            runs.append([[x], 1])
+        self._grow(0)
+
+    def _grow(self, row: int) -> None:
+        if row == len(self.shape):
+            self.shape.append(1)
+        else:
+            self.shape[row] += 1
+
+    def pull(self, row: int, column: int) -> int:
+        """Reverse bump for the empty kind, the inverse of ``push``: take out
+        the corner box at (row, column) and return the letter that leaves the
+        first column.
+
+        The entry bumped out of a column was placed there by the largest
+        entry not exceeding it of the column to its left.  In a run of equal
+        columns only the rightmost one changes, and the letter it bumps out
+        passes the others unchanged, so a letter costs a bisection per run.
+        """
+        runs = self.runs
+        k = 0
+        while k < len(runs) and column >= runs[k][1]:
+            column -= runs[k][1]
+            k += 1
+        if k == len(runs) or column != runs[k][1] - 1 or len(runs[k][0]) != row + 1:
+            raise InvalidInputError("recording chain does not match the tableau")
+        k = self._split_last(k)
+        x = runs[k][0].pop()
+        if not runs[k][0]:
+            del runs[k]
+        else:
+            self._merge_right(k)
+        for left in range(k - 1, -1, -1):
+            i = bisect_right(runs[left][0], x) - 1
+            if runs[left][0][i] != x:
+                left = self._split_last(left)
+                col = runs[left][0]
+                x, col[i] = col[i], x
+                self._merge_right(left)
+        self.shape[row] -= 1
+        if not self.shape[row]:
+            self.shape.pop()
+        return x
+
+    def _split_last(self, k: int) -> int:
+        """Give the rightmost column of run k a run of its own; return its
+        index."""
+        run = self.runs[k]
+        if run[1] == 1:
+            return k
+        run[1] -= 1
+        self.runs.insert(k + 1, [run[0].copy(), 1])
+        return k + 1
+
+    def _merge_right(self, k: int) -> None:
+        """Fold the single column of run k into an equal right neighbour."""
+        runs = self.runs
+        if k + 1 < len(runs) and runs[k + 1][0] == runs[k][0]:
+            runs[k + 1][1] += 1
+            del runs[k]
+
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        rows: list[list[int]] = [[] for _ in self.shape]
+        for col, count in self.runs:
+            for r, x in enumerate(col):
+                rows[r] += [x] * count
+        return tuple(tuple(row) for row in rows)
+
+
+class _StrictRows:
+    """Streaming hook-word row insertion for the strict kind.
+
+    ``halves`` lists each row as ``[neg, up]``: ``neg`` holds the negated
+    weakly decreasing part (so it is sorted) and ``up`` the strictly
+    increasing part, split as ``hook_decompose`` splits the row.  ``shape``
+    is the list of row lengths.
+    """
+
+    __slots__ = ("halves", "shape")
+
+    def __init__(self):
+        self.halves: list[list[list[int]]] = []
+        self.shape: list[int] = []
+
+    def push(self, x: int) -> None:
+        shape = self.shape
+        for r, (neg, up) in enumerate(self.halves):
+            if not up or x > up[-1]:
+                # the row with x appended is still a hook word
+                if not up and x <= -neg[-1]:
+                    neg.append(-x)
+                else:
+                    up.append(x)
+                shape[r] += 1
+                return
+            i = bisect_left(up, x)
+            y = up[i]
+            up[i] = x
+            # y displaces the first, largest entry of the decreasing part below it
+            j = bisect_right(neg, -y)
+            x = -neg[j]
+            neg[j] = -y
+            # the decreasing part stays decreasing; it may take one more entry
+            if up[0] <= -neg[-1]:
+                neg.append(-up.pop(0))
+        self.halves.append([[-x], []])
+        shape.append(1)
+
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        # tuples from lists, not generators: CPython sizes a generator's tuple
+        # by a guess and shrinks it, so strict enumeration, which calls this
+        # once per candidate row, would fill the per-size tuple free lists
+        # (about 1 MB more resident memory over a character table)
+        return tuple([tuple([-t for t in neg] + up) for neg, up in self.halves])
+
+
+def _state(kind: AlgebraKind):
+    """The kind's insertion state, holding the empty tableau."""
+    if kind.kind == STRICT:
+        return _StrictRows()
+    return _ColumnRuns(kind.kind == HOOK)
+
+
+def _tableau_state(tab: Tableau):
+    """The kind's insertion state holding ``tab``, or None when ``tab`` is
+    not a valid tableau: its shape is invalid, a row is empty, a letter is
+    outside the alphabet, or its reading word inserts to other rows."""
+    kind = tab.kind
+    lengths = [len(row) for row in tab.rows]
+    if 0 in lengths or not is_valid_shape(kind, lengths):
+        return None
+    try:
+        word = check_word(kind, reading(tab))
+    except InvalidInputError:
+        return None
+    state = _state(kind)
+    for x in word:
+        state.push(x)
+    return state if state.rows() == tuple(map(tuple, tab.rows)) else None
 
 
 # ---------------------------------------------------------------------------
@@ -269,27 +437,32 @@ def _enumerate_grid(kind, lam, counter) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def _enumerate_strict(kind, lam, counter) -> list[tuple[tuple[int, ...], ...]]:
-    """Build rows bottom-up; the maximality condition couples adjacent rows only."""
+    """Build rows bottom-up, keeping a hook word as the next row iff pushing
+    it after the reading word of the rows below gives it and those rows
+    back: the rows so far then form a tableau."""
     n = kind.n
     depth = len(lam)
     candidates = {length: list(iter_hook_words(n, length)) for length in set(lam)}
     out: list[tuple[tuple[int, ...], ...]] = []
     chosen: list[tuple[int, ...]] = [()] * depth
 
-    def rec(i: int):
-        # i runs from the bottom row (depth-1) up to 0
+    def rec(i: int, below: Word):
+        # i runs from the bottom row (depth-1) up to 0; below is the reading
+        # word of the rows under row i
         if i < 0:
             out.append(tuple(chosen))
             return
-        below = chosen[i + 1] if i + 1 < depth else ()
         for w in candidates[lam[i]]:
             counter.tick()
-            if longest_hook_subword(below + w) != lam[i]:
-                continue
+            word = below + w
+            state = _StrictRows()
+            for x in word:
+                state.push(x)
             chosen[i] = w
-            rec(i - 1)
+            if state.rows() == tuple(chosen[i:]):
+                rec(i - 1, word)
 
-    rec(depth - 1)
+    rec(depth - 1, ())
     return out
 
 
@@ -350,7 +523,8 @@ def standard_from_rows(
     rows: Sequence[Sequence[int]],
     inner: Sequence[int] = (),
 ) -> StandardTableau:
-    """Rebuild the shape chain from a filling; validates every step."""
+    """Rebuild the shape chain from a filling; validates every step and
+    refuses a filling that is not the chain's own ``to_rows()``."""
     inner = check_shape(kind, inner)
     entries = sorted(
         (rows[r][c], r) for r in range(len(rows)) for c in range(len(rows[r])) if rows[r][c]
@@ -365,7 +539,10 @@ def standard_from_rows(
         cur[r] += 1
         step = check_shape(kind, cur)
         chain.append(step)
-    return StandardTableau(tuple(chain), inner)
+    tab = StandardTableau(tuple(chain), inner)
+    if tab.to_rows() != tuple(map(tuple, rows)):
+        raise InvalidInputError(f"{tuple(map(tuple, rows))} is not a standard filling of its shape")
+    return tab
 
 
 def enumerate_standard(

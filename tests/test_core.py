@@ -9,15 +9,19 @@ from hypothesis import given, strategies as st
 from superwalk import (
     AlgebraKind,
     InvalidInputError,
+    Tableau,
     conjugate,
     contains,
     hook_split,
     in_semigroup,
     is_valid_shape,
+    is_valid_tableau,
     normalize_shape,
     parse_word,
     pi_weight,
+    pitman,
     predecessors,
+    rsk,
     shape_from_weight,
     successors,
     weight_of,
@@ -190,6 +194,22 @@ def test_integer_points_are_shapes():
             except InvalidInputError:
                 ok = False
             assert member == ok
+
+
+@pytest.mark.parametrize("letter", [1.5, 2.0, True, Fraction(2), "2", None])
+def test_letters_must_be_ints(letter):
+    ke3 = AlgebraKind.empty(3)
+    with pytest.raises(InvalidInputError):
+        ke3.letter_index(letter)
+    with pytest.raises(InvalidInputError):
+        weight_of(ke3, (letter,))
+    with pytest.raises(InvalidInputError):
+        pitman(ke3, (letter, 2, 1))
+    with pytest.raises(InvalidInputError):
+        rsk(ke3, (2, letter))
+    assert not is_valid_tableau(Tableau(ke3, ((letter,),)))
+    with pytest.raises(InvalidInputError):
+        KH23.letter_index(-1.0)
 
 
 def test_parse_word_forms():

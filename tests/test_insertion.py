@@ -26,17 +26,19 @@ from superwalk import (
     words_with_recording,
 )
 from superwalk.errors import InvalidInputError
-from superwalk.insertion import RskPair, _state, _stream, insertion_trace, rsk_inverse
+from superwalk.insertion import RskPair, _stream, insertion_trace, rsk_inverse
 from superwalk.kinds import EMPTY, STRICT, check_word, is_barred
 from superwalk.multiplicities import shapes_of_size
 from superwalk.tableaux import (
     StandardTableau,
     _added_cell,
+    _tableau_state,
     empty_tableau,
     enumerate_standard,
     enumerate_tableaux,
     hook_decompose,
     is_hook_word,
+    reading,
 )
 
 # ---------------------------------------------------------------------------
@@ -328,14 +330,14 @@ def test_streaming_insertion_matches_per_letter_oracle(kind, data):
     ids=lambda k: k.describe(),
 )
 def test_per_letter_insert_matches_oracle_exhaustively(kind):
-    # every valid tableau of at most five boxes, loaded into the streaming
-    # state, takes every letter as the per-letter oracle does
+    # every valid tableau of at most five boxes, its state rebuilt from its
+    # reading word, takes every letter as the per-letter oracle does
     insert = insert_strict if kind.kind == STRICT else insert_column
     tableaux = [t for b in range(6) for lam in shapes_of_size(kind, b)
                 for t in enumerate_tableaux(kind, lam)]
     assert len(tableaux) > 100
     for tab in tableaux:
-        state = _state(kind, tab.rows)
+        state = _tableau_state(tab)
         assert state.rows() == tab.rows
         if kind.kind != STRICT:
             runs = state.runs
@@ -367,6 +369,23 @@ def test_per_letter_insert_refuses_invalid_tableau(kind, rows, letter, parent_ro
     assert _insert(kind, tab, letter).rows == parent_rows
 
 
+@pytest.mark.parametrize(
+    "kind",
+    [AlgebraKind.empty(3), AlgebraKind.hook(2, 2), AlgebraKind.hook(1, 3),
+     AlgebraKind.strict(4), AlgebraKind.strict(6)],
+    ids=lambda k: k.describe(),
+)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_insertion_rebuilds_p_from_its_reading_word(kind, data):
+    # is_valid_tableau holds a filling valid iff its reading word inserts
+    # back to it; every P tableau must pass, long ones included
+    word = data.draw(long_words(kind, 500))
+    p = p_tableau(kind, word)
+    assert p_tableau(kind, reading(p)) == p
+    assert is_valid_tableau(p)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_rsk_inverse_roundtrip_long_words(data):
@@ -394,7 +413,7 @@ def test_reverse_bump_keeps_column_runs_merged():
     rng = random.Random(11)
     word = tuple(rng.choice(ke.alphabet) for _ in range(2000))
     pair = rsk(ke, word)
-    state = _state(ke, pair.p.rows)
+    state = _tableau_state(pair.p)
     chain = ((),) + pair.q.chain
     for left, (small, large) in enumerate(reversed(list(zip(chain, chain[1:])))):
         state.pull(*_added_cell(small, large))

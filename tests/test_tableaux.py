@@ -1,4 +1,11 @@
-"""Tableau validity, hook words, enumeration and standard chains."""
+"""Tableau validity, hook words, enumeration and standard chains.
+
+The library defines a tableau as a filling that its kind's insertion
+rebuilds from the reading word.  The rules it replaced, the cell rule for
+the empty and hook kinds and GHSKM maximality through
+``longest_hook_subword`` for the strict kind, and the enumerator built on
+maximality, stay here as the oracles it is tested against.
+"""
 
 from itertools import combinations, product
 
@@ -8,18 +15,20 @@ from hypothesis import given, settings, strategies as st
 from superwalk import (
     AlgebraKind,
     BudgetExceededError,
+    InvalidInputError,
     Tableau,
     enumerate_standard,
     enumerate_tableaux,
     is_hook_word,
+    is_valid_shape,
     is_valid_tableau,
-    longest_hook_subword,
     reading,
     weight_of,
 )
 from superwalk.multiplicities import shapes_of_size
 from superwalk.tableaux import (
     StandardTableau,
+    _may_follow,
     hook_decompose,
     iter_hook_words,
     standard_from_rows,
@@ -29,6 +38,78 @@ KE = AlgebraKind.empty(4)
 KH = AlgebraKind.hook(2, 3)
 KS4 = AlgebraKind.strict(4)
 KS5 = AlgebraKind.strict(5)
+
+
+def longest_hook_subword(word):
+    """Length of the longest (non-contiguous) hook subword.
+
+    A hook subword through pivot position i is a weakly decreasing subword
+    ending at i glued to a strictly increasing subword starting at i, so the
+    answer is max over i of dec(i) + inc(i) - 1.
+    """
+    L = len(word)
+    if L == 0:
+        return 0
+    dec = [1] * L
+    for i in range(L):
+        for j in range(i):
+            if word[j] >= word[i]:
+                dec[i] = max(dec[i], dec[j] + 1)
+    inc = [1] * L
+    for i in range(L - 1, -1, -1):
+        for j in range(i + 1, L):
+            if word[j] > word[i]:
+                inc[i] = max(inc[i], inc[j] + 1)
+    return max(dec[i] + inc[i] - 1 for i in range(L))
+
+
+def cell_rule_valid(tab):
+    """The rule before insertion defined validity: the empty/hook cell rule,
+    and for the strict kind hook-word rows, each of maximal length among the
+    hook subwords of the row below followed by it.  The shape and the
+    letters are checked as the library checks them."""
+    kind, rows = tab.kind, tab.rows
+    lengths = [len(r) for r in rows]
+    if 0 in lengths or not is_valid_shape(kind, lengths):
+        return False
+    if any(x not in kind.alphabet for row in rows for x in row):
+        return False
+    if kind.kind == "strict":
+        return all(is_hook_word(row) for row in rows) and all(
+            longest_hook_subword(rows[i + 1] + rows[i]) == len(rows[i])
+            for i in range(len(rows) - 1)
+        )
+    return all(
+        _may_follow(kind, x, row[c - 1] if c else None, rows[r - 1][c] if r else None)
+        for r, row in enumerate(rows)
+        for c, x in enumerate(row)
+    )
+
+
+def maximality_enumerate_strict(kind, lam):
+    """Strict tableaux of shape lam, rows built bottom-up and kept by the
+    maximality condition, which couples adjacent rows only; also the number
+    of candidate rows tried."""
+    depth = len(lam)
+    candidates = {length: list(iter_hook_words(kind.n, length)) for length in set(lam)}
+    out = []
+    chosen = [()] * depth
+    tried = 0
+
+    def rec(i):
+        nonlocal tried
+        if i < 0:
+            out.append(tuple(chosen))
+            return
+        below = chosen[i + 1] if i + 1 < depth else ()
+        for w in candidates[lam[i]]:
+            tried += 1
+            if longest_hook_subword(below + w) == lam[i]:
+                chosen[i] = w
+                rec(i - 1)
+
+    rec(depth - 1)
+    return sorted(out), tried
 
 
 def brute_longest_hook_subword(word):
@@ -95,6 +176,52 @@ def test_validity_counterexamples():
     assert not is_valid_tableau(Tableau(KH, ((1, 1),)))
     # barred repeats are fine along rows, unbarred down columns
     assert is_valid_tableau(Tableau(KH, ((-2, -2), (1,), (1,))))
+
+
+def _fillings(kind, boxes):
+    """Every filling by the kind's alphabet of every valid shape up to the
+    given number of boxes."""
+    for size in range(boxes + 1):
+        for lam in shapes_of_size(kind, size):
+            for letters in product(kind.alphabet, repeat=size):
+                it = iter(letters)
+                yield Tableau(kind, tuple(tuple(next(it) for _ in range(k)) for k in lam))
+
+
+@pytest.mark.parametrize(
+    "kind,boxes",
+    [
+        (AlgebraKind.strict(3), 6),
+        (AlgebraKind.empty(3), 6),
+        (AlgebraKind.hook(1, 2), 6),
+        (AlgebraKind.strict(4), 5),
+        (AlgebraKind.hook(2, 2), 5),
+    ],
+    ids=lambda v: v.describe() if isinstance(v, AlgebraKind) else str(v),
+)
+def test_validity_agrees_with_cell_and_maximality_rules(kind, boxes):
+    valid = total = 0
+    for tab in _fillings(kind, boxes):
+        expected = cell_rule_valid(tab)
+        assert is_valid_tableau(tab) == expected, tab.rows
+        valid += expected
+        total += 1
+    assert 0 < valid < total
+
+
+@pytest.mark.parametrize("kind", [AlgebraKind.strict(3), AlgebraKind.strict(4)],
+                         ids=lambda k: k.describe())
+def test_strict_enumeration_matches_maximality_enumerator(kind):
+    # same tableaux up to nine boxes; one node per candidate row, so the node
+    # budget trips at the same count
+    for size in range(10):
+        for lam in shapes_of_size(kind, size):
+            expected, tried = maximality_enumerate_strict(kind, lam)
+            got = enumerate_tableaux(kind, lam, budget=9, max_nodes=tried)
+            assert [t.rows for t in got] == expected
+            if size <= 6 and tried:
+                with pytest.raises(BudgetExceededError):
+                    enumerate_tableaux(kind, lam, max_nodes=tried - 1)
 
 
 def test_reading_words():
@@ -187,6 +314,16 @@ def test_skew_standard_roundtrip():
         rows = chain.to_rows()
         rebuilt = standard_from_rows(ke, rows, inner=(1, 1))
         assert rebuilt == chain
+
+
+def test_standard_from_rows_refuses_fillings_it_does_not_rebuild():
+    # each entry sits in the right row, but not in the cell its chain fills
+    ke = AlgebraKind.empty(3)
+    for rows, inner in [(((2, 1),), ()), (((3, 1), (4, 2)), ()), (((1, 0),), (1,))]:
+        with pytest.raises(InvalidInputError):
+            standard_from_rows(ke, rows, inner)
+    with pytest.raises(InvalidInputError):
+        standard_from_rows(AlgebraKind.strict(3), ((1, 3, 2), (4,)))
 
 
 def test_standard_tableau_fields():
