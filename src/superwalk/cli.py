@@ -35,10 +35,10 @@ from .kinds import (
     STRICT,
     AlgebraKind,
     format_rational,
+    format_word,
     parse_shape,
     parse_word,
     shape_to_json,
-    word_to_json,
 )
 from .markov import stay_probability, stay_probability_truncated
 from .multiplicities import decompose_product, lr_count
@@ -156,7 +156,7 @@ def cmd_rsk(args) -> int:
             "kind": kind.kind,
             "n": kind.n,
             "m": kind.m,
-            "word": word_to_json(word),
+            "word": format_word(word),
             "p_tableau": pair.p.to_json(),
             "q_tableau": pair.q.to_json(),
         },

@@ -44,6 +44,7 @@ class AlgebraKind:
     """Selector for gl(n) (``empty``), gl(m,n) (``hook``) or q(n) (``strict``).
 
     ``m`` is meaningful only for the hook kind and must be 0 otherwise.
+    Both ranks are ``int``s; a float or a ``bool`` is refused.
     """
 
     kind: str
@@ -53,8 +54,10 @@ class AlgebraKind:
     def __post_init__(self):
         if self.kind not in KIND_NAMES:
             raise InvalidInputError(f"unknown kind {self.kind!r}")
-        if self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise InvalidInputError("n must be a positive integer")
+        if type(self.m) is not int:
+            raise InvalidInputError("m must be an integer")
         if self.kind == HOOK:
             if self.m < 1:
                 raise InvalidInputError("hook kind requires a positive m")
@@ -159,7 +162,7 @@ def conjugate(shape: Sequence[int]) -> Shape:
 
 
 def _is_partition(parts: Sequence[int]) -> bool:
-    return all(isinstance(p, int) and p >= 0 for p in parts) and all(
+    return all(type(p) is int and p >= 0 for p in parts) and all(
         a >= b for a, b in zip(parts, parts[1:])
     )
 
@@ -393,7 +396,3 @@ def format_rational(value: Fraction) -> str:
 
 def shape_to_json(shape: Sequence[int]) -> list[int]:
     return list(normalize_shape(shape))
-
-
-def word_to_json(word: Sequence[int]) -> str:
-    return format_word(word)

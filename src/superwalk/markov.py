@@ -176,8 +176,8 @@ def stay_probability_truncated(
     """Exact mass of walk paths from lam staying in the shape lattice for
     ``horizon`` steps; weakly decreasing in the horizon and bounded below by
     the closed form."""
-    if horizon < 0:
-        raise InvalidInputError("horizon must be nonnegative")
+    if type(horizon) is not int or horizon < 0:
+        raise InvalidInputError(f"horizon must be a nonnegative integer, got {horizon!r}")
     check_length(kind, p.values)
     start = pi_weight(kind, check_shape(kind, lam))
     frontier: dict[Weight, Fraction] = {start: Fraction(1)}
@@ -198,8 +198,8 @@ def conditioned_step_kernel(
     """Exact transition matrix of the walk conditioned to stay for
     ``remaining`` more steps; used as a finite-horizon reference.  A row's
     masses p_i stay_(remaining-1)(lam_i) sum to stay_remaining(mu)."""
-    if remaining < 1:
-        raise InvalidInputError(f"remaining must be at least 1, got {remaining}")
+    if type(remaining) is not int or remaining < 1:
+        raise InvalidInputError(f"remaining must be an integer of at least 1, got {remaining!r}")
     check_length(kind, p.values)
 
     def rows(state: Shape):

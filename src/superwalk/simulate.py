@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -17,8 +18,6 @@ from typing import Sequence
 from .characters import ProbVector, require_condition, schur
 from .errors import InvalidInputError, SamplingFailureError
 from .kinds import (
-    HOOK,
-    STRICT,
     AlgebraKind,
     Shape,
     Weight,
@@ -45,6 +44,10 @@ class RngStream:
     _rng: random.Random = field(init=False, repr=False)
 
     def __post_init__(self):
+        if type(self.seed) is not int or type(self.index) is not int:
+            raise InvalidInputError(
+                f"seed and index must be integers, got {self.seed!r} and {self.index!r}"
+            )
         self._rng = random.Random((self.seed & ((1 << 64) - 1)) * 0x9E3779B97F4A7C15 + self.index)
 
     def draw_bits(self) -> int:
@@ -302,34 +305,27 @@ def sample_conditioned_ensemble(
 def nearest_shape(kind: AlgebraKind, vector: Sequence[Fraction]) -> Shape:
     """Nearest valid lattice shape to a drift multiple.
 
-    Rounds each pi coordinate (ties to even), then repairs to validity by
-    minimal decrements left to right inside each block.
+    Rounds each pi coordinate (ties to even, negatives to 0).  If the
+    semigroup refuses the result, each coordinate in turn, left to right, is
+    lowered until the coordinates so far, followed by zeros, lie in the
+    semigroup.  After such a prefix the values a coordinate may take form an
+    interval [0, cap] for every kind, so this is the minimal repair, and
+    bisection finds each cap.
     """
-    coords = [int(round(Fraction(v))) for v in vector]
+    coords = [max(int(round(Fraction(v))), 0) for v in vector]
     if len(coords) != kind.N:
         raise InvalidInputError(f"vector has length {len(coords)}, expected {kind.N}")
-    if kind.kind == HOOK:
-        barred = _repair_decreasing(coords[: kind.m])
-        unbarred = _repair_decreasing(coords[kind.m:])
-        cap = barred[-1]
-        unbarred = [v if i + 1 <= cap else 0 for i, v in enumerate(unbarred)]
-        weight = tuple(barred + unbarred)
-    elif kind.kind == STRICT:
-        weight = tuple(_repair_decreasing(coords, strict=True))
-    else:
-        weight = tuple(_repair_decreasing(coords))
-    return shape_from_weight(kind, weight)
+    try:
+        return shape_from_weight(kind, coords)
+    except InvalidInputError:
+        pass
+    zeros = [0] * kind.N
+    for i in range(kind.N):
+        def refused(value):
+            return not in_semigroup(kind, coords[:i] + [value] + zeros[i + 1:])
 
-
-def _repair_decreasing(coords: list[int], strict: bool = False) -> list[int]:
-    out: list[int] = []
-    for c in coords:
-        c = max(c, 0)
-        if out:
-            cap = out[-1] - 1 if strict and out[-1] > 0 else out[-1]
-            c = min(c, max(cap, 0))
-        out.append(c)
-    return out
+        coords[i] = bisect_left(range(coords[i] + 1), True, key=refused) - 1
+    return shape_from_weight(kind, coords)
 
 
 def drift_shape(kind: AlgebraKind, p: ProbVector, scale: int) -> Shape:

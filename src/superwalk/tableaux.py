@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import combinations, combinations_with_replacement
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, InvalidInputError
@@ -78,31 +79,17 @@ def is_hook_word(word: Sequence[int]) -> bool:
 
 
 def iter_hook_words(n: int, length: int) -> Iterator[tuple[int, ...]]:
-    """All hook words of the given length over the alphabet 1..n, in lex order."""
-    if length == 0:
-        return
-    word: list[int] = []
+    """All hook words of the given length over the alphabet 1..n, in lex order.
 
-    def extend(increasing: bool) -> Iterator[tuple[int, ...]]:
-        if len(word) == length:
-            yield tuple(word)
-            return
-        last = word[-1]
-        if not increasing:
-            for x in range(1, last + 1):
-                word.append(x)
-                yield from extend(False)
-                word.pop()
-        lo = last + 1
-        for x in range(lo, n + 1):
-            word.append(x)
-            yield from extend(True)
-            word.pop()
-
-    for first in range(1, n + 1):
-        word.append(first)
-        yield from extend(False)
-        word.pop()
+    Each is a nonempty weakly decreasing part followed by a strictly
+    increasing part above its last letter.
+    """
+    yield from sorted([
+        down + up
+        for k in range(1, length + 1)
+        for down in combinations_with_replacement(range(n, 0, -1), k)
+        for up in combinations(range(down[-1] + 1, n + 1), length - k)
+    ])
 
 
 # ---------------------------------------------------------------------------

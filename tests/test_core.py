@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 from superwalk import (
     AlgebraKind,
     InvalidInputError,
+    ProbVector,
+    RngStream,
     Tableau,
     conjugate,
     contains,
@@ -23,10 +25,12 @@ from superwalk import (
     predecessors,
     rsk,
     shape_from_weight,
+    stay_probability_truncated,
     successors,
     weight_of,
 )
 from superwalk.kinds import added_coordinate, check_shape, shape_size
+from superwalk.markov import conditioned_step_kernel
 
 
 KE4 = AlgebraKind.empty(4)
@@ -51,6 +55,40 @@ def test_kind_validation():
         AlgebraKind("empty", 2, m=1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: AlgebraKind("empty", 2.5),
+    lambda: AlgebraKind("empty", True),
+    lambda: AlgebraKind("strict", 3.0),
+    lambda: AlgebraKind("empty", 2, m=0.0),
+    lambda: AlgebraKind.hook(1.5, 2),
+    lambda: AlgebraKind.hook(True, 2),
+    lambda: AlgebraKind.hook(1, 2.0),
+], ids=["n-float", "n-bool", "n-integral-float", "m-float-zero", "m-float", "m-bool", "hook-n-float"])
+def test_kind_ranks_must_be_ints(make):
+    with pytest.raises(InvalidInputError):
+        make()
+
+
+KE2 = AlgebraKind.empty(2)
+P2 = ProbVector.parse(KE2, "2/3,1/3")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_shape(KE2, (True,)),
+    lambda: successors(KE2, (True,)),
+    lambda: stay_probability_truncated(KE2, (), P2, 2.5),
+    lambda: stay_probability_truncated(KE2, (), P2, True),
+    lambda: conditioned_step_kernel(KE2, P2, 2.5),
+    lambda: conditioned_step_kernel(KE2, P2, True),
+    lambda: RngStream(1.5),
+    lambda: RngStream(1, 0.5),
+], ids=["shape-bool", "successors-bool", "horizon-float", "horizon-bool",
+        "remaining-float", "remaining-bool", "seed-float", "index-float"])
+def test_integer_inputs_must_be_ints(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
 def test_weight_of_examples():
     assert weight_of(KE4, parse_word(KE4, "232143")) == (1, 2, 2, 1)
     assert weight_of(KE4, ()) == (0, 0, 0, 0)
@@ -73,6 +111,7 @@ def test_is_valid_shape_examples():
     assert not is_valid_shape(KE4, (1, 1, 1, 1, 1))
     assert not is_valid_shape(KE4, (1, 2))
     assert is_valid_shape(KE4, ())
+    assert not is_valid_shape(KE4, (True,))
 
 
 def test_normalize_and_equality_ignores_trailing_zeros():

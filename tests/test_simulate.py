@@ -1,6 +1,11 @@
-"""Sampler determinism, law agreement and exact-DP trend experiments."""
+"""Sampler determinism, law agreement and exact-DP trend experiments.
+
+``nearest_shape`` repairs a rounded vector by asking the semigroup; the
+per-kind repair it replaced stays here as its oracle.
+"""
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -24,6 +29,7 @@ from superwalk import (
     schur,
     stay_probability_truncated,
 )
+from superwalk.kinds import HOOK, STRICT, shape_from_weight
 from superwalk.markov import pi_shape
 from superwalk.simulate import (
     estimate_conditioned_acceptance,
@@ -180,6 +186,71 @@ def test_nearest_shape_rounding_and_repair():
     assert nearest_shape(KH11, (Fraction(5, 2), Fraction(9, 2))) == (2, 1, 1, 1, 1)
     # hook repair zeroes unbarred coordinates beyond the barred cap
     assert nearest_shape(KH11, (Fraction(0), Fraction(3))) == ()
+
+
+def repair_nearest_shape(kind, vector):
+    """The per-kind repair: minimal decrements left to right inside each
+    block, strict distinctness for q(n), and the hook kind's unbarred
+    coordinates zeroed beyond the last barred one."""
+    coords = [int(round(Fraction(v))) for v in vector]
+    assert len(coords) == kind.N
+    if kind.kind == HOOK:
+        barred = _repair_decreasing(coords[: kind.m])
+        unbarred = _repair_decreasing(coords[kind.m:])
+        cap = barred[-1]
+        unbarred = [v if i + 1 <= cap else 0 for i, v in enumerate(unbarred)]
+        weight = tuple(barred + unbarred)
+    elif kind.kind == STRICT:
+        weight = tuple(_repair_decreasing(coords, strict=True))
+    else:
+        weight = tuple(_repair_decreasing(coords))
+    return shape_from_weight(kind, weight)
+
+
+def _repair_decreasing(coords, strict=False):
+    out = []
+    for c in coords:
+        c = max(c, 0)
+        if out:
+            cap = out[-1] - 1 if strict and out[-1] > 0 else out[-1]
+            c = min(c, max(cap, 0))
+        out.append(c)
+    return out
+
+
+REPAIR_KINDS = (
+    AlgebraKind.empty(1), AlgebraKind.empty(3), AlgebraKind.empty(4),
+    AlgebraKind.strict(2), AlgebraKind.strict(4),
+    AlgebraKind.hook(1, 1), AlgebraKind.hook(2, 1), AlgebraKind.hook(2, 2),
+    AlgebraKind.hook(1, 3), AlgebraKind.hook(3, 2),
+)
+
+
+def test_nearest_shape_matches_per_kind_repair_on_random_vectors():
+    rng = random.Random(20121015)
+    for _ in range(4000):
+        for kind in REPAIR_KINDS:
+            vector = [Fraction(rng.randint(-30, 200), rng.randint(1, 7)) for _ in range(kind.N)]
+            assert nearest_shape(kind, vector) == repair_nearest_shape(kind, vector), vector
+
+
+# the drift laws of the doob-drift benchmark and of the CI llt step
+DRIFT_LAWS = (
+    (AlgebraKind.empty(3), "30/61,19/61,12/61"),
+    (AlgebraKind.strict(3), "30/61,19/61,12/61"),
+    (AlgebraKind.hook(2, 2), "24/61,17/61,12/61,8/61"),
+    (AlgebraKind.empty(3), "1/2,1/3,1/6"),
+    (AlgebraKind.strict(3), "1/2,1/3,1/6"),
+    (AlgebraKind.hook(2, 2), "4/10,3/10,2/10,1/10"),
+)
+
+
+@pytest.mark.parametrize("kind, law", DRIFT_LAWS)
+def test_drift_shape_matches_per_kind_repair(kind, law):
+    p = ProbVector.parse(kind, law)
+    for scale in range(1, 241):
+        expected = repair_nearest_shape(kind, [scale * v for v in p.values])
+        assert drift_shape(kind, p, scale) == expected, scale
 
 
 def test_drift_shape_tracks_mean():

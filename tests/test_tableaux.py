@@ -4,7 +4,9 @@ The library defines a tableau as a filling that its kind's insertion
 rebuilds from the reading word.  The rules it replaced, the cell rule for
 the empty and hook kinds and GHSKM maximality through
 ``longest_hook_subword`` for the strict kind, and the enumerator built on
-maximality, stay here as the oracles it is tested against.
+maximality, stay here as the oracles it is tested against, and so does the
+recursive generator of hook words, which the library now builds from their
+two parts.
 """
 
 from itertools import combinations, product
@@ -86,12 +88,40 @@ def cell_rule_valid(tab):
     )
 
 
+def recursive_iter_hook_words(n, length):
+    """Hook words letter by letter, in lex order: below the last letter
+    while the word still decreases, then strictly above it."""
+    if length == 0:
+        return
+    word = []
+
+    def extend(increasing):
+        if len(word) == length:
+            yield tuple(word)
+            return
+        last = word[-1]
+        if not increasing:
+            for x in range(1, last + 1):
+                word.append(x)
+                yield from extend(False)
+                word.pop()
+        for x in range(last + 1, n + 1):
+            word.append(x)
+            yield from extend(True)
+            word.pop()
+
+    for first in range(1, n + 1):
+        word.append(first)
+        yield from extend(False)
+        word.pop()
+
+
 def maximality_enumerate_strict(kind, lam):
     """Strict tableaux of shape lam, rows built bottom-up and kept by the
     maximality condition, which couples adjacent rows only; also the number
     of candidate rows tried."""
     depth = len(lam)
-    candidates = {length: list(iter_hook_words(kind.n, length)) for length in set(lam)}
+    candidates = {length: list(recursive_iter_hook_words(kind.n, length)) for length in set(lam)}
     out = []
     chosen = [()] * depth
     tried = 0
@@ -156,6 +186,13 @@ def test_iter_hook_words_complete():
         assert len(set(got)) == len(got)
         expect = [w for w in product(range(1, n + 1), repeat=length) if is_hook_word(w)]
         assert sorted(got) == sorted(expect)
+
+
+def test_iter_hook_words_matches_recursive_generator():
+    # the same words in the same order, for every n <= 5 and length <= 7
+    for n in range(1, 6):
+        for length in range(8):
+            assert list(iter_hook_words(n, length)) == list(recursive_iter_hook_words(n, length))
 
 
 def test_validity_golden_examples():
