@@ -34,6 +34,7 @@ from .kinds import (
     weight_of,
 )
 from .tableaux import (
+    ShapeChain,
     StandardTableau,
     Tableau,
     enumerate_standard,

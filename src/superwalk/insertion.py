@@ -9,7 +9,8 @@ recurses into the rows below.
 
 The recording side never looks at letters: it is the chain of shapes of the
 insertion tableau over prefixes, which is also the generalized Pitman
-transform of the word.
+transform of the word, held as a ``ShapeChain`` of the π-coordinate each
+letter's new cell raises.
 
 Each kind has one insertion procedure: the ``push`` of its mutable
 insertion state, which grows the shape in place and builds P only when
@@ -22,10 +23,10 @@ through one state and build P once, at the end; the per-letter
 state of the tableau, push the letter once and freeze the result, and
 ``insertion_trace`` freezes the state after every letter.
 
-Each letter costs time independent of the word length, apart from
-copying the shape into the chain.  The reference the states are tested
-against, the textbook per-letter insertions on frozen rows, lives in
-``tests/test_insertion.py``.
+Each letter costs time and chain memory independent of the word length.
+The references the states are tested against, the textbook per-letter
+insertions on frozen rows and a ``_stream`` that copies every prefix
+shape, live in ``tests/test_insertion.py``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import Sequence
 from .errors import BudgetExceededError, InvalidInputError
 from .kinds import (
     EMPTY,
+    HOOK,
     STRICT,
     AlgebraKind,
     Shape,
@@ -46,15 +48,13 @@ from .kinds import (
 )
 from .tableaux import (
     DEFAULT_BOX_BUDGET,
+    ShapeChain,
     StandardTableau,
     Tableau,
     _added_cell,
     _state,
     _tableau_state,
 )
-
-ShapeSequence = tuple[Shape, ...]
-
 
 @dataclass(frozen=True)
 class RskPair:
@@ -108,15 +108,16 @@ def insertion_trace(kind: AlgebraKind, word: Sequence[int]) -> list[Tableau]:
 
 
 def _stream(kind: AlgebraKind, word: Sequence[int]):
-    """The insertion state after the word, and its chain of prefix shapes."""
+    """The insertion state after the word, and its ``ShapeChain``."""
     word = check_word(kind, word)
     state = _state(kind)
-    shape = state.shape
-    chain = []
+    push, shape = state.push, state.shape
+    m = kind.m if kind.kind == HOOK else kind.N
+    coords = []
     for x in word:
-        state.push(x)
-        chain.append(tuple(shape))
-    return state, tuple(chain)
+        r = push(x)
+        coords.append(r if r < m else m + shape[r] - 1)
+    return state, ShapeChain(kind, coords, tuple(shape))
 
 
 def p_tableau(kind: AlgebraKind, word: Sequence[int]) -> Tableau:
@@ -125,7 +126,7 @@ def p_tableau(kind: AlgebraKind, word: Sequence[int]) -> Tableau:
 
 
 def q_tableau(kind: AlgebraKind, word: Sequence[int]) -> StandardTableau:
-    """Recording tableau: the chain of shapes over prefixes."""
+    """Recording tableau: the ``ShapeChain`` of shapes over prefixes."""
     return StandardTableau(_stream(kind, word)[1])
 
 
@@ -134,8 +135,9 @@ def rsk(kind: AlgebraKind, word: Sequence[int]) -> RskPair:
     return RskPair(Tableau(kind, state.rows()), StandardTableau(chain))
 
 
-def pitman(kind: AlgebraKind, word: Sequence[int]) -> ShapeSequence:
-    """Generalized Pitman transform: prefix shapes of the insertion tableau."""
+def pitman(kind: AlgebraKind, word: Sequence[int]) -> ShapeChain:
+    """Generalized Pitman transform: prefix shapes of the insertion tableau,
+    as a ``ShapeChain`` holding one π-coordinate per letter."""
     return _stream(kind, word)[1]
 
 
@@ -160,12 +162,13 @@ def rsk_inverse(kind: AlgebraKind, pair: RskPair) -> Word:
         raise InvalidInputError(f"P is not a valid {kind.describe()} tableau")
     if pair.q.inner:
         raise InvalidInputError("the recording tableau must start from the empty shape")
-    chain = ((),) + pair.q.chain
     cells = []
-    for small, large in zip(chain, chain[1:]):
+    small: Shape = ()
+    for large in pair.q.chain:
         if not is_valid_shape(kind, large):
             raise InvalidInputError(f"recording chain shape {large} is not a valid shape")
         cells.append(_added_cell(small, large))
+        small = large
     letters = [state.pull(row, col) for row, col in reversed(cells)]
     letters.reverse()
     return tuple(letters)

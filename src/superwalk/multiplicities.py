@@ -349,7 +349,7 @@ def theta_embed(tab: LrTableau) -> Tableau:
             for r in below:
                 if inner[r] <= col < tab.outer[r]:
                     put(tab.rows[r][col - inner[r]] - 1, letter)
-    return Tableau(kind, tuple(tuple(r) for r in rows))
+    return Tableau(kind, tuple([tuple(r) for r in rows]))
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ its test oracles.  ``_state(kind)`` is the empty state of a kind and
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
-from typing import Iterator, Sequence
+from itertools import combinations, combinations_with_replacement, islice
+from operator import eq
 
 from .errors import BudgetExceededError, InvalidInputError
 from .kinds import (
@@ -41,6 +42,7 @@ from .kinds import (
     contains,
     is_valid_shape,
     normalize_shape,
+    shape_from_weight,
     shape_size,
     successors,
     weight_of,
@@ -180,7 +182,8 @@ class _ColumnRuns:
         self.runs: list[list] = []
         self.shape: list[int] = []
 
-    def push(self, x: int) -> None:
+    def push(self, x: int) -> int:
+        """Insert x; return the row of the cell it adds."""
         runs = self.runs
         k = 0
         while k < len(runs):
@@ -211,20 +214,20 @@ class _ColumnRuns:
                 del runs[k]
                 k -= 1
             if grown:
-                self._grow(i)
-                return
+                return self._grow(i)
             k += 1
         if runs and runs[-1][0] == [x]:
             runs[-1][1] += 1
         else:
             runs.append([[x], 1])
-        self._grow(0)
+        return self._grow(0)
 
-    def _grow(self, row: int) -> None:
+    def _grow(self, row: int) -> int:
         if row == len(self.shape):
             self.shape.append(1)
         else:
             self.shape[row] += 1
+        return row
 
     def pull(self, row: int, column: int) -> int:
         """Reverse bump for the empty kind, the inverse of ``push``: take out
@@ -283,7 +286,7 @@ class _ColumnRuns:
         for col, count in self.runs:
             for r, x in enumerate(col):
                 rows[r] += [x] * count
-        return tuple(tuple(row) for row in rows)
+        return tuple([tuple(row) for row in rows])
 
 
 class _StrictRows:
@@ -301,7 +304,8 @@ class _StrictRows:
         self.halves: list[list[list[int]]] = []
         self.shape: list[int] = []
 
-    def push(self, x: int) -> None:
+    def push(self, x: int) -> int:
+        """Insert x; return the row of the cell it adds."""
         shape = self.shape
         for r, (neg, up) in enumerate(self.halves):
             if not up or x > up[-1]:
@@ -311,7 +315,7 @@ class _StrictRows:
                 else:
                     up.append(x)
                 shape[r] += 1
-                return
+                return r
             i = bisect_left(up, x)
             y = up[i]
             up[i] = x
@@ -324,6 +328,7 @@ class _StrictRows:
                 neg.append(-up.pop(0))
         self.halves.append([[-x], []])
         shape.append(1)
+        return len(shape) - 1
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         # tuples from lists, not generators: CPython sizes a generator's tuple
@@ -407,7 +412,7 @@ def _enumerate_grid(kind, lam, counter) -> list[tuple[tuple[int, ...], ...]]:
 
     def rec(k: int):
         if k == len(cells):
-            out.append(tuple(tuple(row) for row in grid))
+            out.append(tuple([tuple(row) for row in grid]))
             return
         r, c = cells[k]
         left = grid[r][c - 1] if c else None
@@ -457,15 +462,82 @@ def _enumerate_strict(kind, lam, counter) -> list[tuple[tuple[int, ...], ...]]:
 # Standard tableaux as shape chains
 # ---------------------------------------------------------------------------
 
+class ShapeChain(Sequence):
+    """A one-box chain of shapes from the empty shape, held as the
+    coordinate of ``kinds.pi_weight`` each box raises: its row for the empty
+    and strict kinds and for hook rows below ``m``, and ``m`` plus its column
+    for hook rows from ``m`` on.  For a word it is the recording tableau in
+    π-coordinates.  Iteration replays the coordinates on one list of row
+    lengths; ``len``, ``[-1]`` (``last``, computed unless given) and prefix
+    slices replay nothing.  It equals and hashes as the tuple of its shapes.
+    """
+
+    __slots__ = ("kind", "coords", "_last", "_hash")
+
+    def __init__(self, kind: AlgebraKind, coords: Sequence[int], last: Shape | None = None):
+        self.kind = kind
+        self.coords = bytes(coords) if kind.N <= 256 else tuple(coords)
+        if last is None:
+            last = shape_from_weight(kind, [self.coords.count(i) for i in range(kind.N)])
+        self._last = last
+        self._hash = None
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __iter__(self) -> Iterator[Shape]:
+        # from row m on, column c < n fills rows m, m + 1, ... in turn: the
+        # k-th box raising coordinate m + c lands in row m + k - 1
+        m = self.kind.m if self.kind.kind == HOOK else self.kind.N
+        seen = [0] * self.kind.N
+        rows: list[int] = []
+        for c in self.coords:
+            if c < m:
+                r = c
+            else:
+                r = m + seen[c]
+                seen[c] += 1
+            if r < len(rows):
+                rows[r] += 1
+            else:
+                rows.append(1)
+            yield tuple(rows)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            if key.start in (None, 0) and key.step in (None, 1):
+                return ShapeChain(self.kind, self.coords[key])
+            return tuple(self)[key]
+        k = range(len(self.coords))[key]
+        return self._last if k == len(self.coords) - 1 else next(islice(self, k, None))
+
+    def __eq__(self, other):
+        if isinstance(other, ShapeChain) and other.kind == self.kind:
+            return self.coords == other.coords
+        if isinstance(other, (ShapeChain, tuple)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(tuple(self))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"ShapeChain({self.kind!r}, {list(self.coords)!r})"
+
+
 @dataclass(frozen=True)
 class StandardTableau:
     """A chain of shapes, each adding one box to the previous.
 
-    ``chain`` lists the shapes after each added box; ``inner`` is the base
-    shape the chain grows from (empty for straight standard tableaux).
+    ``chain`` lists the shapes after each added box (a ``ShapeChain`` for
+    the recording tableau of a word, else a tuple, equal when the shapes
+    are); ``inner`` is the base shape the chain grows from (empty for
+    straight standard tableaux).
     """
 
-    chain: tuple[Shape, ...]
+    chain: Sequence[Shape]
     inner: Shape = field(default=())
 
     @property
@@ -485,7 +557,7 @@ class StandardTableau:
             r, c = _added_cell(prev, cur)
             rows[r][c] = k
             prev = cur
-        return tuple(tuple(r) for r in rows)
+        return tuple([tuple(r) for r in rows])
 
     def to_json(self) -> dict:
         return {

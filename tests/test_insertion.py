@@ -30,8 +30,10 @@ from superwalk.insertion import RskPair, _stream, insertion_trace, rsk_inverse
 from superwalk.kinds import EMPTY, STRICT, check_word, is_barred
 from superwalk.multiplicities import shapes_of_size
 from superwalk.tableaux import (
+    ShapeChain,
     StandardTableau,
     _added_cell,
+    _state,
     _tableau_state,
     empty_tableau,
     enumerate_standard,
@@ -113,6 +115,18 @@ def _insert(kind: AlgebraKind, tab: Tableau, x: int) -> Tableau:
     if kind.kind == STRICT:
         return _insert_strict(tab, x)
     return Tableau(kind, _insert_columns(kind, tab.rows, x))
+
+
+def _copying_stream(kind: AlgebraKind, word):
+    """The insertion state after the word and the tuple of its prefix shapes,
+    copied from the state after every letter."""
+    word = check_word(kind, word)
+    state = _state(kind)
+    chain = []
+    for x in word:
+        state.push(x)
+        chain.append(tuple(state.shape))
+    return state, tuple(chain)
 
 
 def _insertion_trace(kind: AlgebraKind, word) -> list[Tableau]:
@@ -326,6 +340,75 @@ def test_streaming_insertion_matches_per_letter_oracle(kind, data):
 
 @pytest.mark.parametrize(
     "kind",
+    [AlgebraKind.empty(3), AlgebraKind.hook(2, 2), AlgebraKind.hook(1, 3), AlgebraKind.strict(4)],
+    ids=lambda k: k.describe(),
+)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_shape_chain_matches_copying_stream(kind, data):
+    # the chain of π-coordinates stands for the tuple of prefix shapes: it
+    # replays, indexes, slices, compares and hashes as that tuple does
+    word = data.draw(long_words(kind, 500))
+    chain = pitman(kind, word)
+    state, expect = _copying_stream(kind, word)
+    assert isinstance(chain, ShapeChain)
+    assert chain == expect and expect == chain and not chain != expect
+    assert tuple(chain) == expect and list(chain) == list(expect)
+    assert hash(chain) == hash(expect) and len(chain) == len(word)
+    assert rsk(kind, word).q.chain == chain
+    assert rsk(kind, word).p.rows == state.rows()
+    if word:
+        k = data.draw(st.integers(-len(word), len(word) - 1))
+        assert chain[-1] == expect[-1] and chain[k] == expect[k]
+    k = data.draw(st.integers(0, len(word)))
+    assert chain[:k] == expect[:k] and hash(chain[:k]) == hash(expect[:k])
+    assert isinstance(chain[:k], ShapeChain) and chain[:k][-1:] == expect[:k][-1:]
+    assert chain[k::2] == expect[k::2] and chain[::-1] == expect[::-1]
+    with pytest.raises(IndexError):
+        chain[len(word)]
+
+
+def test_shape_chains_mix_with_tuple_chains_in_sets():
+    # recording tableaux of words hold ShapeChains, enumerated ones tuples;
+    # sets and dicts of either find the other, as suite_rsk_bijection needs
+    kind = AlgebraKind.hook(1, 2)
+    lam = (2, 1, 1)
+    recorded = {rsk(kind, w).q for w in product(kind.alphabet, repeat=4)
+                if p_tableau(kind, w).shape == lam}
+    enumerated = set(enumerate_standard(kind, lam))
+    assert recorded == enumerated and enumerated == recorded
+    assert {q.chain for q in recorded} == {q.chain for q in enumerated}
+    assert all(isinstance(q.chain, ShapeChain) for q in recorded)
+    mixed = recorded | enumerated
+    assert len(mixed) == len(enumerated) == 3
+    # chains of two kinds compare by their shapes, not their coordinates
+    ke3 = AlgebraKind.empty(3)
+    assert ShapeChain(kind, [0, 0, 1]) == ShapeChain(ke3, [0, 0, 1]) == ((1,), (2,), (2, 1))
+    assert ShapeChain(kind, [0, 0, 1, 2]) != ShapeChain(ke3, [0, 0, 1, 2])
+    assert ShapeChain(kind, [0, 0, 1, 2])[-1] == (2, 2)
+
+
+def test_hook_chain_memory_is_linear():
+    # the chain of a hook word of length L holds one coordinate per letter,
+    # where copying every prefix shape held O(L^2) row lengths, 268 MB at
+    # this length
+    import random
+    import tracemalloc
+
+    kind = AlgebraKind.hook(2, 2)
+    rng = random.Random(16000)
+    word = tuple(rng.choice(kind.alphabet) for _ in range(16000))
+    tracemalloc.start()
+    try:
+        chain = pitman(kind, word)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(chain) == 16000 and held < 2**20
+
+
+@pytest.mark.parametrize(
+    "kind",
     [AlgebraKind.empty(3), AlgebraKind.hook(2, 2), AlgebraKind.hook(1, 3), AlgebraKind.strict(3)],
     ids=lambda k: k.describe(),
 )
@@ -414,7 +497,7 @@ def test_reverse_bump_keeps_column_runs_merged():
     word = tuple(rng.choice(ke.alphabet) for _ in range(2000))
     pair = rsk(ke, word)
     state = _tableau_state(pair.p)
-    chain = ((),) + pair.q.chain
+    chain = ((),) + tuple(pair.q.chain)
     for left, (small, large) in enumerate(reversed(list(zip(chain, chain[1:])))):
         state.pull(*_added_cell(small, large))
         runs = state.runs
