@@ -45,6 +45,11 @@ class AlgebraKind:
 
     ``m`` is meaningful only for the hook kind and must be 0 otherwise.
     Both ranks are ``int``s; a float or a ``bool`` is refused.
+
+    Construction also builds ``alphabet``, the letters in increasing order
+    (barred letters are the negatives), its size ``N`` (``n`` for
+    empty/strict, ``m+n`` for hook) and the letter-to-coordinate table of
+    ``letter_index``.  Equality, hashing and repr see the three fields only.
     """
 
     kind: str
@@ -63,6 +68,10 @@ class AlgebraKind:
                 raise InvalidInputError("hook kind requires a positive m")
         elif self.m != 0:
             raise InvalidInputError(f"kind {self.kind!r} does not take m")
+        alphabet = tuple(range(-self.m, 0)) + tuple(range(1, self.n + 1))
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "N", len(alphabet))
+        object.__setattr__(self, "_index", {x: i for i, x in enumerate(alphabet)})
 
     @classmethod
     def empty(cls, n: int) -> "AlgebraKind":
@@ -76,18 +85,6 @@ class AlgebraKind:
     def strict(cls, n: int) -> "AlgebraKind":
         return cls(STRICT, n)
 
-    @property
-    def N(self) -> int:
-        """Alphabet size: ``n`` for empty/strict, ``m+n`` for hook."""
-        return self.m + self.n if self.kind == HOOK else self.n
-
-    @property
-    def alphabet(self) -> tuple[int, ...]:
-        """Letters in increasing order; barred letters are the negatives."""
-        if self.kind == HOOK:
-            return tuple(range(-self.m, 0)) + tuple(range(1, self.n + 1))
-        return tuple(range(1, self.n + 1))
-
     def letter_index(self, letter: int) -> int:
         """Position of ``letter`` in the alphabet (also its weight coordinate).
 
@@ -95,11 +92,10 @@ class AlgebraKind:
         other letter outside the alphabet."""
         if type(letter) is not int:
             raise InvalidInputError(f"letter {letter!r} is not an integer")
-        if self.kind == HOOK and -self.m <= letter <= -1:
-            return letter + self.m
-        if 1 <= letter <= self.n:
-            return letter - 1 + (self.m if self.kind == HOOK else 0)
-        raise InvalidInputError(f"letter {letter} not in the {self.describe()} alphabet")
+        index = self._index.get(letter)
+        if index is None:
+            raise InvalidInputError(f"letter {letter} not in the {self.describe()} alphabet")
+        return index
 
     def describe(self) -> str:
         if self.kind == EMPTY:

@@ -112,7 +112,7 @@ def kostka(
 
 def shapes_of_size(kind: AlgebraKind, boxes: int) -> list[Shape]:
     """All valid shapes with the given number of boxes, in a stable order."""
-    if not isinstance(boxes, int) or boxes < 0:
+    if type(boxes) is not int or boxes < 0:
         raise InvalidInputError(f"boxes must be a nonnegative integer, got {boxes!r}")
     return sorted(chain_counts(kind, (), boxes))
 

@@ -91,10 +91,10 @@ def _frequency_stderr(estimate: float, count: int) -> float:
     return math.sqrt(max(estimate * (1.0 - estimate), 1e-30) / count)
 
 
-def _require_positive(**counts: int):
+def _require_at_least(least: int, **counts: int):
     for name, value in counts.items():
-        if value < 1:
-            raise InvalidInputError(f"{name} must be at least 1, got {value}")
+        if type(value) is not int or value < least:
+            raise InvalidInputError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def _frequency_report(counts: dict[str, int], total: int, references: dict) -> EstimateReport:
@@ -112,7 +112,7 @@ def estimate_letter_frequencies(
     kind: AlgebraKind, p: ProbVector, paths: int, length: int, rng: RngStream
 ) -> EstimateReport:
     """Empirical letter frequencies of sampled walks; letter i estimates p_i."""
-    _require_positive(paths=paths, length=length)
+    _require_at_least(1, paths=paths, length=length)
     counts = {letter: 0 for letter in kind.alphabet}
     for _ in range(paths):
         for x in sample_walk(kind, p, length, rng):
@@ -131,7 +131,7 @@ def estimate_shape_law(
     """Empirical end-shape distribution of the sampled shape process; shape
     lam estimates f^lam s_lam(p).  ``budget`` bounds the character
     evaluations of the kernel and of the references alike."""
-    _require_positive(paths=paths, length=length)
+    _require_at_least(1, paths=paths, length=length)
     counts: dict[Shape, int] = {}
     for chain in _shape_chains(pi_shape(kind, p, budget), paths, length, rng):
         counts[chain[-1]] = counts.get(chain[-1], 0) + 1
@@ -167,6 +167,7 @@ def estimate_conditioned_acceptance(
 
 def sample_walk(kind: AlgebraKind, p: ProbVector, length: int, rng: RngStream) -> Word:
     """IID letters with law p, by exact inverse CDF."""
+    _require_at_least(0, length=length)
     cum = _cumulative(zip(kind.alphabet, p.values))
     return tuple(_pick(cum, rng.draw_bits()) for _ in range(length))
 
@@ -277,7 +278,7 @@ def sample_conditioned_ensemble(
     max_attempts: int | None = None,
 ) -> ConditionedEnsemble:
     """Collect transitions over the first ``length`` steps of many accepted paths."""
-    _require_positive(paths=paths, length=length)
+    _require_at_least(1, paths=paths, length=length)
     limit = max_attempts if max_attempts is not None else 400 * paths
     transition_counts: dict[tuple[Shape, Shape], int] = {}
     visit_counts: dict[Shape, int] = {}
@@ -330,8 +331,7 @@ def nearest_shape(kind: AlgebraKind, vector: Sequence[Fraction]) -> Shape:
 
 def drift_shape(kind: AlgebraKind, p: ProbVector, scale: int) -> Shape:
     """Nearest valid shape to ``scale`` times the drift vector."""
-    if scale < 0:
-        raise InvalidInputError(f"scale must be nonnegative, got {scale}")
+    _require_at_least(0, scale=scale)
     return nearest_shape(kind, [scale * v for v in p.values])
 
 
@@ -386,7 +386,7 @@ def quotient_llt_experiment(
     is None when g - gamma leaves the shape lattice.
     """
     require_condition(p)
-    _require_positive(l_max=l_max)
+    _require_at_least(1, l_max=l_max)
     gamma = tuple(gamma)
     if len(gamma) != kind.N:
         raise InvalidInputError(f"gamma has length {len(gamma)}, expected {kind.N}")
@@ -412,7 +412,7 @@ def asympt_multiplicity_experiment(
     """Exact skew/straight chain-count ratio along the drift, trending to
     s_mu(p); ``budget`` bounds the evaluation of s_mu(p)."""
     require_condition(p)
-    _require_positive(l_max=l_max)
+    _require_at_least(1, l_max=l_max)
     mu = check_shape(kind, mu)
     target = schur(kind, mu, p, budget=budget)
     return _drift_trend(

@@ -467,9 +467,10 @@ class ShapeChain(Sequence):
     coordinate of ``kinds.pi_weight`` each box raises: its row for the empty
     and strict kinds and for hook rows below ``m``, and ``m`` plus its column
     for hook rows from ``m`` on.  For a word it is the recording tableau in
-    π-coordinates.  Iteration replays the coordinates on one list of row
-    lengths; ``len``, ``[-1]`` (``last``, computed unless given) and prefix
-    slices replay nothing.  It equals and hashes as the tuple of its shapes.
+    π-coordinates.  Iteration, and ``StandardTableau.to_rows``, replay the
+    coordinates on one list of row lengths, which gives each box's cell;
+    ``len``, ``[-1]`` (``last``, computed unless given) and prefix slices
+    replay nothing.  It equals and hashes as the tuple of its shapes.
     """
 
     __slots__ = ("kind", "coords", "_last", "_hash")
@@ -485,7 +486,8 @@ class ShapeChain(Sequence):
     def __len__(self) -> int:
         return len(self.coords)
 
-    def __iter__(self) -> Iterator[Shape]:
+    def _cells(self) -> Iterator[tuple[int, int]]:
+        """Each box's (row, column), in the order the chain adds them."""
         # from row m on, column c < n fills rows m, m + 1, ... in turn: the
         # k-th box raising coordinate m + c lands in row m + k - 1
         m = self.kind.m if self.kind.kind == HOOK else self.kind.N
@@ -497,8 +499,16 @@ class ShapeChain(Sequence):
             else:
                 r = m + seen[c]
                 seen[c] += 1
-            if r < len(rows):
-                rows[r] += 1
+            if r == len(rows):
+                rows.append(0)
+            yield r, rows[r]
+            rows[r] += 1
+
+    def __iter__(self) -> Iterator[Shape]:
+        rows: list[int] = []
+        for r, c in self._cells():
+            if c:
+                rows[r] = c + 1
             else:
                 rows.append(1)
             yield tuple(rows)
@@ -550,13 +560,13 @@ class StandardTableau:
 
     def to_rows(self) -> tuple[tuple[int, ...], ...]:
         """Filling of the outer diagram by 1..size; inner cells hold 0."""
-        outer = self.shape
-        rows = [[0] * length for length in outer]
-        prev = self.inner
-        for k, cur in enumerate(self.chain, start=1):
-            r, c = _added_cell(prev, cur)
+        rows = [[0] * length for length in self.shape]
+        if isinstance(self.chain, ShapeChain) and not self.inner:
+            cells = self.chain._cells()
+        else:
+            cells = map(_added_cell, (self.inner, *self.chain), self.chain)
+        for k, (r, c) in enumerate(cells, start=1):
             rows[r][c] = k
-            prev = cur
         return tuple([tuple(r) for r in rows])
 
     def to_json(self) -> dict:

@@ -1,7 +1,14 @@
-"""Alphabet, weight, shape and semigroup behaviour."""
+"""Package loading, alphabet, weight, shape and semigroup behaviour."""
 
+import copy
+import importlib
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +21,7 @@ from superwalk import (
     Tableau,
     conjugate,
     contains,
+    drift_shape,
     hook_split,
     in_semigroup,
     is_valid_shape,
@@ -24,6 +32,7 @@ from superwalk import (
     pitman,
     predecessors,
     rsk,
+    sample_walk,
     shape_from_weight,
     stay_probability_truncated,
     successors,
@@ -31,6 +40,8 @@ from superwalk import (
 )
 from superwalk.kinds import added_coordinate, check_shape, shape_size
 from superwalk.markov import conditioned_step_kernel
+from superwalk.multiplicities import shapes_of_size
+from superwalk.simulate import estimate_letter_frequencies, sample_conditioned_ensemble
 
 
 KE4 = AlgebraKind.empty(4)
@@ -69,6 +80,94 @@ def test_kind_ranks_must_be_ints(make):
         make()
 
 
+PUBLIC_NAMES = sorted("""
+    AlgebraKind BudgetExceededError ContractViolationError DecompositionError
+    FormulaDomainError InvalidInputError LrTableau ProbVector RngStream RskPair
+    SamplingFailureError ShapeChain SingularEvaluationError SparseCharacter
+    StandardTableau SuperwalkError Tableau TransitionKernel
+    asympt_multiplicity_experiment character_polynomial conjugate contains
+    dec_skew_identity decompose_product doob_transform drift_shape
+    enumerate_standard enumerate_tableaux f_count f_skew green hook_split
+    in_semigroup insert_column insert_strict is_hook_word is_valid_shape
+    is_valid_tableau kostka lr_count lr_enumerate martin_kernel nabla
+    nearest_shape normalize_shape p_tableau parse_word pi_restricted pi_shape
+    pi_walk pi_weight pitman predecessors psi q_tableau quotient_llt_experiment
+    reading rsk rsk_inverse sample_conditioned_walk sample_shape_chain
+    sample_walk schur shape_from_weight stay_probability
+    stay_probability_truncated successors theta_embed verify_m_le_K weight_of
+    words_with_recording
+""".split())
+SUBMODULES = ("errors", "kinds", "tableaux", "insertion", "characters",
+              "multiplicities", "markov", "simulate")
+
+
+def test_pitman_loads_only_its_modules():
+    # a fresh interpreter: the Pitman transform needs kinds, tableaux and
+    # insertion (and errors), and the other submodules stay unloaded
+    script = (
+        "import sys\n"
+        "from superwalk import pitman, rsk, AlgebraKind\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('superwalk'))))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["superwalk", "superwalk.errors", "superwalk.insertion",
+                   "superwalk.kinds", "superwalk.tableaux"]
+
+
+def test_public_names_resolve_to_their_home_modules():
+    import superwalk
+
+    assert sorted(superwalk.__all__) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 71
+    for name in PUBLIC_NAMES:
+        value = getattr(superwalk, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    for name in SUBMODULES:
+        assert getattr(superwalk, name) is importlib.import_module("superwalk." + name)
+    assert set(PUBLIC_NAMES) | set(SUBMODULES) <= set(dir(superwalk))
+    assert superwalk.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        superwalk.no_such_name
+
+
+def _kinds_up_to(size):
+    for n in range(1, size + 1):
+        yield AlgebraKind.empty(n)
+        yield AlgebraKind.strict(n)
+        for m in range(1, size + 1 - n):
+            yield AlgebraKind.hook(m, n)
+
+
+def test_kind_tables_match_their_rules():
+    # the alphabet, its size and the letter coordinates as the ranks define
+    # them, with equality, hashing and repr on the three fields only
+    for kind in _kinds_up_to(6):
+        k, n, m = kind.kind, kind.n, kind.m
+        hook = k == "hook"
+        assert kind.alphabet == (tuple(range(-m, 0)) if hook else ()) + tuple(range(1, n + 1))
+        assert kind.N == (m + n if hook else n) == len(kind.alphabet)
+        for letter in range(-8, 9):
+            if hook and -m <= letter <= -1:
+                assert kind.letter_index(letter) == letter + m
+            elif 1 <= letter <= n:
+                assert kind.letter_index(letter) == letter - 1 + m
+            else:
+                with pytest.raises(InvalidInputError):
+                    kind.letter_index(letter)
+        twin = AlgebraKind(k, n, m)
+        assert twin == kind and hash(twin) == hash(kind) == hash((k, n, m))
+        assert repr(kind) == f"AlgebraKind(kind={k!r}, n={n}, m={m})"
+        for other in (pickle.loads(pickle.dumps(kind)), copy.copy(kind), copy.deepcopy(kind)):
+            assert other == kind and hash(other) == hash(kind)
+            assert other.alphabet == kind.alphabet and other.N == kind.N
+            assert [other.letter_index(x) for x in other.alphabet] == list(range(kind.N))
+    assert len({kind for kind in _kinds_up_to(6)}) == len(list(_kinds_up_to(6)))
+    assert AlgebraKind.empty(3) != AlgebraKind.strict(3)
+
+
 KE2 = AlgebraKind.empty(2)
 P2 = ProbVector.parse(KE2, "2/3,1/3")
 
@@ -82,8 +181,15 @@ P2 = ProbVector.parse(KE2, "2/3,1/3")
     lambda: conditioned_step_kernel(KE2, P2, True),
     lambda: RngStream(1.5),
     lambda: RngStream(1, 0.5),
+    lambda: sample_conditioned_ensemble(KE2, P2, 2, 2, 2.5, RngStream(1)),
+    lambda: shapes_of_size(KE2, True),
+    lambda: sample_walk(KE2, P2, -3, RngStream(1)),
+    lambda: drift_shape(KE2, P2, 2.5),
+    lambda: estimate_letter_frequencies(KE2, P2, 2.5, 3, RngStream(1)),
 ], ids=["shape-bool", "successors-bool", "horizon-float", "horizon-bool",
-        "remaining-float", "remaining-bool", "seed-float", "index-float"])
+        "remaining-float", "remaining-bool", "seed-float", "index-float",
+        "ensemble-paths-float", "boxes-bool", "length-negative", "scale-float",
+        "frequency-paths-float"])
 def test_integer_inputs_must_be_ints(call):
     with pytest.raises(InvalidInputError):
         call()
@@ -263,8 +369,6 @@ def test_parse_word_forms():
 
 
 def _shapes_up_to(kind, boxes):
-    from superwalk.multiplicities import shapes_of_size
-
     out = []
     for size in range(boxes + 1):
         out.extend(shapes_of_size(kind, size))

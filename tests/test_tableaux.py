@@ -6,7 +6,9 @@ the empty and hook kinds and GHSKM maximality through
 ``longest_hook_subword`` for the strict kind, and the enumerator built on
 maximality, stay here as the oracles it is tested against, and so does the
 recursive generator of hook words, which the library now builds from their
-two parts.
+two parts.  So does the ``to_rows`` loop that finds each box by comparing
+consecutive shapes, which a word's recording tableau now replaces by
+replaying its chain's coordinates.
 """
 
 from itertools import combinations, product
@@ -24,12 +26,15 @@ from superwalk import (
     is_hook_word,
     is_valid_shape,
     is_valid_tableau,
+    q_tableau,
     reading,
     weight_of,
 )
 from superwalk.multiplicities import shapes_of_size
 from superwalk.tableaux import (
+    ShapeChain,
     StandardTableau,
+    _added_cell,
     _may_follow,
     hook_decompose,
     iter_hook_words,
@@ -363,8 +368,41 @@ def test_standard_from_rows_refuses_fillings_it_does_not_rebuild():
         standard_from_rows(AlgebraKind.strict(3), ((1, 3, 2), (4,)))
 
 
+def _rows_by_shape_comparison(tab):
+    """The former ``to_rows``: each box is the cell where a shape of the
+    chain differs from the one before, found by scanning both."""
+    rows = [[0] * length for length in tab.shape]
+    prev = tab.inner
+    for k, cur in enumerate(tab.chain, start=1):
+        r, c = _added_cell(prev, cur)
+        rows[r][c] = k
+        prev = cur
+    return tuple([tuple(r) for r in rows])
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [AlgebraKind.empty(3), AlgebraKind.hook(2, 2), AlgebraKind.hook(1, 3), AlgebraKind.strict(4)],
+    ids=lambda k: k.describe(),
+)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_recording_rows_match_shape_comparison(kind, data):
+    length = data.draw(st.integers(0, 500))
+    word = tuple(data.draw(st.lists(st.sampled_from(kind.alphabet),
+                                    min_size=length, max_size=length)))
+    tab = q_tableau(kind, word)
+    assert isinstance(tab.chain, ShapeChain)
+    expect = _rows_by_shape_comparison(tab)
+    assert tab.to_rows() == expect
+    assert StandardTableau(tuple(tab.chain)).to_rows() == expect
+
+
 def test_standard_tableau_fields():
     t = StandardTableau(((1,), (2,)))
     assert t.size == 2
     assert t.shape == (2,)
     assert t.to_rows() == ((1, 2),)
+    # a word's chain starts from the empty shape, so no inner shape fits it
+    with pytest.raises(InvalidInputError):
+        StandardTableau(q_tableau(KE, (1, 2, 1)).chain, inner=(1,)).to_rows()
