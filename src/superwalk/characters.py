@@ -453,6 +453,7 @@ def schur(
 
 def nabla(kind: AlgebraKind, p: ProbVector) -> Fraction:
     """Drift constant normalizing the stay probability."""
+    check_length(kind, p.values)
     require_condition(p)
     vals = p.values
     if kind.kind == EMPTY:
@@ -470,6 +471,5 @@ def psi(
     budget: int = DEFAULT_BOX_BUDGET,
 ) -> Fraction:
     """Harmonic function p^(-lambda) s_lambda(p) of the shape process."""
-    lam = check_shape(kind, shape)
-    piw = pi_weight(kind, lam)
-    return p.monomial([-e for e in piw]) * schur(kind, lam, p, budget=budget)
+    piw = pi_weight(kind, shape)
+    return p.monomial([-e for e in piw]) * schur(kind, shape, p, budget=budget)

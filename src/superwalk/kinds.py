@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInputError
 
@@ -233,32 +233,27 @@ def contains(kind: AlgebraKind, outer: Sequence[int], inner: Sequence[int]) -> b
     return all(x >= y for x, y in zip(a, b))
 
 
+def _steps(kind: AlgebraKind, base: Weight, step: int = 1) -> Iterator[tuple[int, Weight]]:
+    """``(i, base + step * e_i)`` for each coordinate i whose move stays in
+    the semigroup, in coordinate order."""
+    for i in range(kind.N):
+        cand = base[:i] + (base[i] + step,) + base[i + 1:]
+        if in_semigroup(kind, cand):
+            yield i, cand
+
+
 def successors(kind: AlgebraKind, shape: Sequence[int]) -> list[Shape]:
     """All valid shapes obtained by adding one box, in pi-coordinate order.
 
     Coordinate order means barred rows come before unbarred columns for the
     hook kind; for empty/strict it is the row index of the added box.
     """
-    base = pi_weight(kind, shape)
-    out = []
-    for i in range(kind.N):
-        cand = base[:i] + (base[i] + 1,) + base[i + 1:]
-        if in_semigroup(kind, cand):
-            out.append(shape_from_weight(kind, cand))
-    return out
+    return [shape_from_weight(kind, w) for _, w in _steps(kind, pi_weight(kind, shape))]
 
 
 def predecessors(kind: AlgebraKind, shape: Sequence[int]) -> list[Shape]:
     """All valid shapes obtained by removing one box, in pi-coordinate order."""
-    base = pi_weight(kind, shape)
-    out = []
-    for i in range(kind.N):
-        if base[i] == 0:
-            continue
-        cand = base[:i] + (base[i] - 1,) + base[i + 1:]
-        if in_semigroup(kind, cand):
-            out.append(shape_from_weight(kind, cand))
-    return out
+    return [shape_from_weight(kind, w) for _, w in _steps(kind, pi_weight(kind, shape), -1)]
 
 
 def added_coordinate(kind: AlgebraKind, small: Sequence[int], large: Sequence[int]) -> int:

@@ -4,27 +4,23 @@ Kernels are evaluators over a lazily explored state space: the shape lattice
 is infinite, but every question asked here is graded by the number of boxes,
 so each computation only ever touches finitely many states.  All entries are
 exact rationals.
+
+Both conditioned kernels are built by :func:`doob_transform`, the only code
+that reweights a row, over the walk restricted to the shape lattice: by psi
+(:func:`pi_shape`) and by the truncated stay probability
+(:func:`conditioned_step_kernel`; König, O'Connell and Roch 2002).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence
 
-from .characters import ProbVector, check_length, nabla, psi, require_condition, schur
+from .characters import ProbVector, check_length, nabla, psi, require_condition
 from .errors import ContractViolationError, InvalidInputError
-from .kinds import (
-    AlgebraKind,
-    Shape,
-    Weight,
-    added_coordinate,
-    check_shape,
-    in_semigroup,
-    pi_weight,
-    sub_weights,
-    successors,
-)
+from .kinds import AlgebraKind, Shape, Weight, _steps, pi_weight, shape_from_weight, sub_weights
 from .multiplicities import f_skew
 from .tableaux import DEFAULT_BOX_BUDGET
 
@@ -53,17 +49,16 @@ class TransitionKernel:
 
 
 def pi_walk(kind: AlgebraKind, p: ProbVector) -> TransitionKernel:
-    """One-way simple walk on the weight lattice: step e_i with probability p_i."""
+    """One-way simple walk on Z_+^N: step e_i with probability p_i."""
     check_length(kind, p.values)
 
     def rows(state: Weight):
-        if len(state) != kind.N:
-            raise InvalidInputError(f"state has length {len(state)}, expected {kind.N}")
-        out = []
-        for i, prob in enumerate(p.values):
-            nxt = state[:i] + (state[i] + 1,) + state[i + 1:]
-            out.append((nxt, prob))
-        return tuple(out)
+        if len(state) != kind.N or not all(type(x) is int and x >= 0 for x in state):
+            raise InvalidInputError(f"state {state} is not {kind.N} nonnegative integers")
+        return tuple(
+            (state[:i] + (state[i] + 1,) + state[i + 1:], prob)
+            for i, prob in enumerate(p.values)
+        )
 
     return TransitionKernel(_rows=rows)
 
@@ -73,12 +68,35 @@ def pi_restricted(kind: AlgebraKind, p: ProbVector) -> TransitionKernel:
     check_length(kind, p.values)
 
     def rows(state: Shape):
-        mu = check_shape(kind, state)
-        out = []
-        for lam in successors(kind, mu):
-            i = added_coordinate(kind, mu, lam)
-            out.append((lam, p.values[i]))
-        return tuple(out)
+        return tuple(
+            (shape_from_weight(kind, w), p.values[i])
+            for i, w in _steps(kind, pi_weight(kind, state))
+        )
+
+    return TransitionKernel(_rows=rows)
+
+
+def doob_transform(kernel: TransitionKernel, h: Callable[[State], Fraction]) -> TransitionKernel:
+    """h-transform of a kernel: the row of x gives each successor y the mass
+    k(x, y) h(y) over the row's total mass.
+
+    For an h harmonic for the kernel that total is h(x); for the truncated
+    stay probability h_(r-1) it is h_r(x).  Harmonicity is not checked here
+    (``superwalk verify markov-law`` checks it for psi).  Raises
+    :class:`ContractViolationError` for a negative h(y) or a row of zero mass.
+    """
+
+    def rows(state):
+        masses = []
+        for nxt, prob in kernel.successors(state):
+            hy = h(nxt)
+            if hy < 0:
+                raise ContractViolationError(f"h must be nonnegative, got {hy} at {nxt}")
+            masses.append((nxt, prob * hy))
+        total = sum((mass for _, mass in masses), Fraction(0))
+        if total <= 0:
+            raise ContractViolationError(f"the row at {state} has no mass under h")
+        return tuple((nxt, mass / total) for nxt, mass in masses)
 
     return TransitionKernel(_rows=rows)
 
@@ -88,44 +106,15 @@ def pi_shape(
     p: ProbVector,
     budget: int = DEFAULT_BOX_BUDGET,
 ) -> TransitionKernel:
-    """Transition matrix of the Pitman image: ratios of character values.
+    """Transition matrix of the Pitman image: the Doob transform of
+    :func:`pi_restricted` by psi, whose rows are s_lam(p) / s_mu(p).
 
     Stochastic for any valid probability vector; the strict drift ordering is
-    not required here.
+    not required here.  The kernel caches psi; a row at mu evaluates it at
+    mu's successors only, within ``budget`` boxes.
     """
-    cache: dict[Shape, Fraction] = {}
-
-    def value(shape: Shape) -> Fraction:
-        got = cache.get(shape)
-        if got is None:
-            got = cache[shape] = schur(kind, shape, p, budget=budget)
-        return got
-
-    def rows(state: Shape):
-        mu = check_shape(kind, state)
-        s_mu = value(mu)
-        return tuple(
-            (lam, value(lam) / s_mu) for lam in successors(kind, mu)
-        )
-
-    return TransitionKernel(_rows=rows)
-
-
-def doob_transform(kernel: TransitionKernel, h: Callable[[State], Fraction]) -> TransitionKernel:
-    """h-transform of a kernel; verifies harmonicity on every queried row."""
-
-    def rows(state):
-        base = kernel.successors(state)
-        hx = h(state)
-        if hx <= 0:
-            raise ContractViolationError(f"h must be positive, got {hx} at {state}")
-        if sum((prob * h(nxt) for nxt, prob in base), Fraction(0)) != hx:
-            raise ContractViolationError(
-                f"h is not harmonic for the kernel at state {state}"
-            )
-        return tuple((nxt, prob * h(nxt) / hx) for nxt, prob in base)
-
-    return TransitionKernel(_rows=rows)
+    h = cache(lambda shape: psi(kind, shape, p, budget=budget))
+    return doob_transform(pi_restricted(kind, p), h)
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +168,12 @@ def stay_probability_truncated(
     if type(horizon) is not int or horizon < 0:
         raise InvalidInputError(f"horizon must be a nonnegative integer, got {horizon!r}")
     check_length(kind, p.values)
-    start = pi_weight(kind, check_shape(kind, lam))
-    frontier: dict[Weight, Fraction] = {start: Fraction(1)}
+    frontier: dict[Weight, Fraction] = {pi_weight(kind, lam): Fraction(1)}
     for _ in range(horizon):
         nxt: dict[Weight, Fraction] = {}
         for w, mass in frontier.items():
-            for i, prob in enumerate(p.values):
-                cand = w[:i] + (w[i] + 1,) + w[i + 1:]
-                if in_semigroup(kind, cand):
-                    nxt[cand] = nxt.get(cand, Fraction(0)) + mass * prob
+            for i, cand in _steps(kind, w):
+                nxt[cand] = nxt.get(cand, Fraction(0)) + mass * p.values[i]
         frontier = nxt
     return sum(frontier.values(), Fraction(0))
 
@@ -196,20 +182,13 @@ def conditioned_step_kernel(
     kind: AlgebraKind, p: ProbVector, remaining: int
 ) -> TransitionKernel:
     """Exact transition matrix of the walk conditioned to stay for
-    ``remaining`` more steps; used as a finite-horizon reference.  A row's
-    masses p_i stay_(remaining-1)(lam_i) sum to stay_remaining(mu)."""
+    ``remaining`` more steps; used as a finite-horizon reference.  It is the
+    Doob transform of :func:`pi_restricted` by the stay probability
+    truncated at ``remaining - 1`` steps: a row's masses
+    p_i stay_(remaining-1)(lam_i) sum to stay_remaining(mu)."""
     if type(remaining) is not int or remaining < 1:
         raise InvalidInputError(f"remaining must be an integer of at least 1, got {remaining!r}")
-    check_length(kind, p.values)
-
-    def rows(state: Shape):
-        mu = check_shape(kind, state)
-        masses = [
-            (lam, p.values[added_coordinate(kind, mu, lam)]
-             * stay_probability_truncated(kind, lam, p, remaining - 1))
-            for lam in successors(kind, mu)
-        ]
-        total = sum((mass for _, mass in masses), Fraction(0))
-        return tuple((lam, mass / total) for lam, mass in masses)
-
-    return TransitionKernel(_rows=rows)
+    return doob_transform(
+        pi_restricted(kind, p),
+        lambda lam: stay_probability_truncated(kind, lam, p, remaining - 1),
+    )

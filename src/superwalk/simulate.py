@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .characters import ProbVector, require_condition, schur
+from .characters import ProbVector, check_length, require_condition, schur
 from .errors import InvalidInputError, SamplingFailureError
 from .kinds import (
     AlgebraKind,
@@ -168,6 +168,7 @@ def estimate_conditioned_acceptance(
 def sample_walk(kind: AlgebraKind, p: ProbVector, length: int, rng: RngStream) -> Word:
     """IID letters with law p, by exact inverse CDF."""
     _require_at_least(0, length=length)
+    check_length(kind, p.values)
     cum = _cumulative(zip(kind.alphabet, p.values))
     return tuple(_pick(cum, rng.draw_bits()) for _ in range(length))
 
@@ -176,6 +177,7 @@ def sample_shape_chain(
     kind: AlgebraKind, p: ProbVector, length: int, rng: RngStream
 ) -> tuple[Shape, ...]:
     """Markov chain of the shape process sampled directly from its kernel."""
+    _require_at_least(0, length=length)
     return next(_shape_chains(pi_shape(kind, p), 1, length, rng))
 
 
@@ -213,8 +215,10 @@ def _accepted_prefixes(
     ``paths`` walks that stay in the shape lattice up to the horizon; raises
     :class:`SamplingFailureError` once ``limit`` attempts were spent first.
     """
+    _require_at_least(0, length=length, horizon=horizon)
     if horizon < length:
         raise InvalidInputError("horizon must be at least the requested length")
+    check_length(kind, p.values)
     require_condition(p)
     cum = _cumulative(list(enumerate(p.values)))
     accepted = attempts = 0

@@ -20,7 +20,7 @@ from .characters import (
 )
 from .insertion import pitman, rsk
 from .kinds import AlgebraKind, contains, shape_size, successors
-from .markov import doob_transform, pi_restricted, pi_shape, stay_probability
+from .markov import pi_restricted, pi_shape, stay_probability
 from .multiplicities import (
     decompose_product,
     dec_skew_identity,
@@ -117,12 +117,14 @@ def suite_markov_law(n: int = 2, m: int = 1, length: int = 4, budget: int = 8) -
             expected = f_count(kind, lam) * schur(kind, lam, p, budget=budget)
             if mass != expected:
                 failures.append(f"{kind.describe()}: P[H={lam}] = {mass} != f*s = {expected}")
-        # psi is harmonic: the Doob transform of the restriction matches pi_shape
+        # psi is harmonic for the restricted walk, so pi_shape, its Doob
+        # transform by psi, is stochastic; doob_transform does not check this
         restricted = pi_restricted(kind, p)
-        doob = doob_transform(restricted, lambda s: psi(kind, s, p, budget=budget))
-        for lam in shapes_up_to(kind, length):
-            if dict(doob.successors(lam)) != dict(kernel.successors(lam)):
-                failures.append(f"{kind.describe()}: Doob transform differs from pi_shape at {lam}")
+        for mu in shapes_up_to(kind, length):
+            row = restricted.successors(mu)
+            total = sum((prob * psi(kind, lam, p, budget=budget) for lam, prob in row), Fraction(0))
+            if total != psi(kind, mu, p, budget=budget):
+                failures.append(f"{kind.describe()}: psi is not harmonic at {mu}")
     return failures
 
 

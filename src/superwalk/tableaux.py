@@ -544,11 +544,21 @@ class StandardTableau:
     ``chain`` lists the shapes after each added box (a ``ShapeChain`` for
     the recording tableau of a word, else a tuple, equal when the shapes
     are); ``inner`` is the base shape the chain grows from (empty for
-    straight standard tableaux).
+    straight standard tableaux).  Construction refuses a ``ShapeChain``
+    with a non-empty ``inner`` (it grows from the empty shape) and a tuple
+    chain whose steps do not each add one box, starting from ``inner``.
     """
 
     chain: Sequence[Shape]
     inner: Shape = field(default=())
+
+    def __post_init__(self):
+        if isinstance(self.chain, ShapeChain):
+            if self.inner:
+                raise InvalidInputError(f"a ShapeChain grows from (), not from {self.inner}")
+            return
+        for prev, cur in zip((self.inner, *self.chain), self.chain):
+            _added_cell(prev, cur)
 
     @property
     def size(self) -> int:
@@ -561,7 +571,7 @@ class StandardTableau:
     def to_rows(self) -> tuple[tuple[int, ...], ...]:
         """Filling of the outer diagram by 1..size; inner cells hold 0."""
         rows = [[0] * length for length in self.shape]
-        if isinstance(self.chain, ShapeChain) and not self.inner:
+        if isinstance(self.chain, ShapeChain):
             cells = self.chain._cells()
         else:
             cells = map(_added_cell, (self.inner, *self.chain), self.chain)
@@ -578,10 +588,12 @@ class StandardTableau:
 
 
 def _added_cell(prev: Shape, cur: Shape) -> tuple[int, int]:
-    a = tuple(prev) + (0,) * (len(cur) - len(prev))
-    for r in range(len(cur)):
-        if cur[r] != a[r]:
-            if cur[r] != a[r] + 1 or any(cur[i] != a[i] for i in range(r + 1, len(cur))):
+    size = max(len(prev), len(cur))
+    a = tuple(prev) + (0,) * (size - len(prev))
+    b = tuple(cur) + (0,) * (size - len(cur))
+    for r in range(size):
+        if b[r] != a[r]:
+            if b[r] != a[r] + 1 or b[r + 1:] != a[r + 1:]:
                 raise InvalidInputError(f"{cur} does not cover {prev}")
             return r, a[r]
     raise InvalidInputError(f"{cur} does not cover {prev}")

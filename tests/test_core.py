@@ -39,9 +39,15 @@ from superwalk import (
     weight_of,
 )
 from superwalk.kinds import added_coordinate, check_shape, shape_size
-from superwalk.markov import conditioned_step_kernel
+from superwalk.markov import conditioned_step_kernel, pi_walk
 from superwalk.multiplicities import shapes_of_size
-from superwalk.simulate import estimate_letter_frequencies, sample_conditioned_ensemble
+from superwalk.simulate import (
+    estimate_conditioned_acceptance,
+    estimate_letter_frequencies,
+    sample_conditioned_ensemble,
+    sample_conditioned_walk,
+    sample_shape_chain,
+)
 
 
 KE4 = AlgebraKind.empty(4)
@@ -186,10 +192,21 @@ P2 = ProbVector.parse(KE2, "2/3,1/3")
     lambda: sample_walk(KE2, P2, -3, RngStream(1)),
     lambda: drift_shape(KE2, P2, 2.5),
     lambda: estimate_letter_frequencies(KE2, P2, 2.5, 3, RngStream(1)),
+    lambda: sample_shape_chain(KE2, P2, -2, RngStream(1)),
+    lambda: sample_shape_chain(KE2, P2, 2.5, RngStream(1)),
+    lambda: sample_conditioned_walk(KE2, P2, 2.5, 5, RngStream(1)),
+    lambda: sample_conditioned_walk(KE2, P2, 2, 5.5, RngStream(1)),
+    lambda: sample_conditioned_ensemble(KE2, P2, 2, 5.5, 2, RngStream(1)),
+    lambda: estimate_conditioned_acceptance(KE2, P2, 2, 5.5, 2, RngStream(1)),
+    lambda: pi_walk(KE2, P2).successors(("a", 0)),
+    lambda: pi_walk(KE2, P2).successors((-3, 0)),
 ], ids=["shape-bool", "successors-bool", "horizon-float", "horizon-bool",
         "remaining-float", "remaining-bool", "seed-float", "index-float",
         "ensemble-paths-float", "boxes-bool", "length-negative", "scale-float",
-        "frequency-paths-float"])
+        "frequency-paths-float", "shape-chain-length-negative",
+        "shape-chain-length-float", "conditioned-length-float",
+        "conditioned-horizon-float", "ensemble-horizon-float",
+        "acceptance-horizon-float", "walk-state-str", "walk-state-negative"])
 def test_integer_inputs_must_be_ints(call):
     with pytest.raises(InvalidInputError):
         call()

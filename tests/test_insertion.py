@@ -301,9 +301,9 @@ def test_rsk_inverse_rejects_malformed_pairs():
         (((1, 2),), ((1,), (1,), (2,))),  # a chain step adding no box
     ]
     for rows, chain in malformed:
-        pair = RskPair(Tableau(ke3, rows), StandardTableau(chain))
+        # a chain that skips or repeats a shape is refused when it is built
         with pytest.raises(InvalidInputError):
-            rsk_inverse(ke3, pair)
+            rsk_inverse(ke3, RskPair(Tableau(ke3, rows), StandardTableau(chain)))
 
 
 ORACLE_KINDS = [

@@ -1,6 +1,7 @@
 """Kernels, Doob transforms, Green functions and stay probabilities."""
 
 from fractions import Fraction
+from functools import cache, partial
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from superwalk import (
     f_count,
     green,
     martin_kernel,
+    nabla,
     pi_restricted,
     pi_shape,
     pi_walk,
@@ -27,13 +29,20 @@ from superwalk import (
 from superwalk.characters import character_polynomial
 from superwalk.kinds import added_coordinate, check_shape, contains, pi_weight, sub_weights
 from superwalk.markov import conditioned_step_kernel
-from superwalk.simulate import drift_shape
+from superwalk.simulate import (
+    RngStream,
+    drift_shape,
+    sample_conditioned_ensemble,
+    sample_conditioned_walk,
+    sample_walk,
+)
 from superwalk.suites import condition_points, shapes_up_to
 
 KE2 = AlgebraKind.empty(2)
 KS2 = AlgebraKind.strict(2)
 KH11 = AlgebraKind.hook(1, 1)
 KE3 = AlgebraKind.empty(3)
+KS3 = AlgebraKind.strict(3)
 P2 = ProbVector.parse(KE2, "2/3,1/3")
 P3 = ProbVector.parse(KE3, "1/2,1/3,1/6")
 
@@ -122,23 +131,75 @@ def test_psi_harmonicity():
             assert total == psi(kind, mu, p, budget=7)
 
 
+def _restricted_row_by_cover(kind, p, mu):
+    """Row of the restricted walk with each step's coordinate found by
+    comparing the two shapes: the oracle of ``pi_restricted``."""
+    return tuple((lam, p.values[added_coordinate(kind, mu, lam)]) for lam in successors(kind, mu))
+
+
+def _pi_shape_row_by_schur_ratio(kind, s, mu):
+    """Row of the shape process as ratios s(lam) / s(mu) of the character
+    values ``s``: the oracle of ``pi_shape``, the Doob transform of the
+    restriction by psi."""
+    return tuple((lam, s(lam) / s(mu)) for lam in successors(kind, mu))
+
+
+def _uniform(kind):
+    return ProbVector(kind, (Fraction(1, kind.N),) * kind.N)
+
+
 def test_doob_transform_of_restriction_is_pi_shape():
-    for kind in (KE2, KH11, KS2):
-        p = _prob_for(kind)
+    # both conditioned kernels are Doob transforms of pi_restricted; their
+    # rows are the oracles' Fractions in successors' order, so seeded draws
+    # through _pick do not move
+    kinds = (AlgebraKind.empty(3), AlgebraKind.hook(2, 2), AlgebraKind.hook(2, 3), KS3)
+    laws = [(k, p, 8) for k in kinds for p in condition_points(k, 2)]
+    laws += [(k, _uniform(k), 7) for k in kinds]
+    for kind, p, boxes in laws:
         restricted = pi_restricted(kind, p)
-        shape_kernel = pi_shape(kind, p)
-        transformed = doob_transform(restricted, lambda s, k=kind: psi(k, s, p))
-        for lam in shapes_up_to(kind, 5):
-            assert dict(transformed.successors(lam)) == dict(shape_kernel.successors(lam))
+        shape_kernel = pi_shape(kind, p, budget=9)
+        conditioned = conditioned_step_kernel(kind, p, 3)
+        s = cache(partial(schur, kind, p=p, budget=9))
+        for mu in shapes_up_to(kind, boxes):
+            assert restricted.successors(mu) == _restricted_row_by_cover(kind, p, mu)
+            assert shape_kernel.successors(mu) == _pi_shape_row_by_schur_ratio(kind, s, mu)
+            assert conditioned.successors(mu) == _conditioned_row_by_stay_total(kind, p, 3, mu)
 
 
 def test_doob_transform_identity_and_contract():
     kernel = pi_walk(KE2, P2)
     unchanged = doob_transform(kernel, lambda s: Fraction(1))
-    assert dict(unchanged.successors((1, 0))) == dict(kernel.successors((1, 0)))
-    broken = doob_transform(kernel, lambda s: Fraction(1 + sum(s), 1))
-    with pytest.raises(ContractViolationError):
-        broken.successors((0, 0))
+    assert unchanged.successors((1, 0)) == kernel.successors((1, 0))
+    # harmonicity is not checked: any nonnegative h gives rows k h over their sum
+    def h(state):
+        return Fraction(1 + sum(state), 1 + state[0])
+
+    rows = kernel.successors((0, 0))
+    total = sum(prob * h(nxt) for nxt, prob in rows)
+    assert doob_transform(kernel, h).successors((0, 0)) == tuple(
+        (nxt, prob * h(nxt) / total) for nxt, prob in rows
+    )
+    assert doob_transform(kernel, h).row_sum((3, 1)) == 1
+    with pytest.raises(ContractViolationError, match="no mass"):
+        doob_transform(kernel, lambda s: Fraction(0)).successors((0, 0))
+    with pytest.raises(ContractViolationError, match="nonnegative"):
+        doob_transform(kernel, lambda s: Fraction(s[0] - s[1])).successors((0, 0))
+
+
+def test_markov_law_suite_flags_a_non_harmonic_psi(monkeypatch):
+    # doob_transform does not check harmonicity; the suite does
+    import superwalk.suites as suites
+
+    true_psi = suites.psi
+
+    def mutant(kind, shape, p, budget):
+        value = true_psi(kind, shape, p, budget=budget)
+        return 2 * value if tuple(shape) == (2, 1) else value
+
+    assert suites.suite_markov_law() == []
+    monkeypatch.setattr(suites, "psi", mutant)
+    failures = suites.suite_markov_law()
+    assert failures and all("psi is not harmonic" in f for f in failures)
 
 
 def test_green_examples():
@@ -296,14 +357,18 @@ def test_conditioned_step_kernel_converges_to_pi_shape():
     assert previous < 1e-3
 
 
+# the oracle below asks for each shape's stay many times, as a successor of
+# several shapes; the kernel under test does not share this cache
+_stay = cache(stay_probability_truncated)
+
+
 def _conditioned_row_by_stay_total(kind, p, remaining, mu):
     """Row of the conditioned kernel normalised by a separate truncated-stay
     DP at mu: the oracle of the library's normalisation by the row's own
     masses."""
-    total = stay_probability_truncated(kind, mu, p, remaining)
+    total = _stay(kind, mu, p, remaining)
     return tuple(
-        (lam, p.values[added_coordinate(kind, mu, lam)]
-         * stay_probability_truncated(kind, lam, p, remaining - 1) / total)
+        (lam, p.values[added_coordinate(kind, mu, lam)] * _stay(kind, lam, p, remaining - 1) / total)
         for lam in successors(kind, mu)
     )
 
@@ -333,6 +398,12 @@ WRONG_LAW_CALLS = {
     "conditioned_step_kernel": lambda: conditioned_step_kernel(KE3, P2, 2),
     "pi_walk": lambda: pi_walk(KE3, P2),
     "pi_restricted": lambda: pi_restricted(AlgebraKind.hook(2, 2), P3),
+    "sample_walk": lambda: sample_walk(KE3, P2, 6, RngStream(1)),
+    "sample_conditioned_ensemble": lambda: sample_conditioned_ensemble(
+        KE3, P2, 3, 5, 4, RngStream(1)
+    ),
+    "sample_conditioned_walk": lambda: sample_conditioned_walk(KE3, P2, 3, 5, RngStream(1)),
+    "nabla": lambda: nabla(KE3, P2),
 }
 
 

@@ -405,4 +405,10 @@ def test_standard_tableau_fields():
     assert t.to_rows() == ((1, 2),)
     # a word's chain starts from the empty shape, so no inner shape fits it
     with pytest.raises(InvalidInputError):
-        StandardTableau(q_tableau(KE, (1, 2, 1)).chain, inner=(1,)).to_rows()
+        StandardTableau(q_tableau(KE, (1, 2, 1)).chain, inner=(1,))
+    # each step of a tuple chain must add one box to the shape before it
+    assert StandardTableau(((2,), (2, 1)), inner=(1,)).to_rows() == ((0, 1), (2,))
+    for chain, inner in [(((1,), (1,), (2,)), ()), (((1,), (1, 1), (2,)), ()),
+                         (((2, 1), (2, 2)), (1,)), (((3,),), (1,))]:
+        with pytest.raises(InvalidInputError):
+            StandardTableau(chain, inner)
