@@ -19,6 +19,8 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
+from itertools import islice
 
 from . import __version__
 from .characters import ProbVector, character_value
@@ -40,7 +42,7 @@ from .kinds import (
     parse_word,
     shape_to_json,
 )
-from .markov import stay_probability, stay_probability_truncated
+from .markov import _stay_levels, stay_probability
 from .multiplicities import decompose_product, lr_count
 from .simulate import (
     RngStream,
@@ -235,8 +237,10 @@ def cmd_exit_prob(args) -> int:
     p = ProbVector.parse(kind, args.p)
     closed = stay_probability(kind, shape, p, budget=args.budget)
     rows = []
-    for horizon in range(1, args.horizon + 1):
-        truncated = stay_probability_truncated(kind, shape, p, horizon)
+    # row r is level r of one pass of the stay DP
+    levels = islice(_stay_levels(kind, shape, p), 1, args.horizon + 1)
+    for horizon, level in enumerate(levels, 1):
+        truncated = sum(level.values(), Fraction(0))
         gap = truncated - closed
         rows.append(
             [horizon, format_rational(truncated), format_rational(closed), format_rational(gap)]

@@ -20,8 +20,7 @@ checks a tableau and returns the state holding it in that one pass.
 ``pitman``, ``rsk``, ``p_tableau`` and ``q_tableau`` stream the word
 through one state and build P once, at the end; the per-letter
 ``insert_column`` (empty and hook kinds) and ``insert_strict`` take the
-state of the tableau, push the letter once and freeze the result, and
-``insertion_trace`` freezes the state after every letter.
+state of the tableau, push the letter once and freeze the result.
 
 Each letter costs time and chain memory independent of the word length.
 The references the states are tested against, the textbook per-letter
@@ -94,17 +93,6 @@ def insert_strict(tab: Tableau, x: int) -> Tableau:
     if tab.kind.kind != STRICT:
         raise InvalidInputError("insert_strict expects a strict-kind tableau")
     return _insert(tab, x)
-
-
-def insertion_trace(kind: AlgebraKind, word: Sequence[int]) -> list[Tableau]:
-    """Tableaux after each prefix of the word (length many entries)."""
-    word = check_word(kind, word)
-    state = _state(kind)
-    out = []
-    for x in word:
-        state.push(x)
-        out.append(Tableau(kind, state.rows()))
-    return out
 
 
 def _stream(kind: AlgebraKind, word: Sequence[int]):

@@ -105,10 +105,6 @@ class AlgebraKind:
         return f"q({self.n})"
 
 
-def is_barred(letter: int) -> bool:
-    return letter < 0
-
-
 # ---------------------------------------------------------------------------
 # Words and weights
 # ---------------------------------------------------------------------------
@@ -254,18 +250,6 @@ def successors(kind: AlgebraKind, shape: Sequence[int]) -> list[Shape]:
 def predecessors(kind: AlgebraKind, shape: Sequence[int]) -> list[Shape]:
     """All valid shapes obtained by removing one box, in pi-coordinate order."""
     return [shape_from_weight(kind, w) for _, w in _steps(kind, pi_weight(kind, shape), -1)]
-
-
-def added_coordinate(kind: AlgebraKind, small: Sequence[int], large: Sequence[int]) -> int:
-    """Index of the pi coordinate incremented when going from small to large.
-
-    Raises unless the two shapes differ by exactly one box.
-    """
-    a, b = pi_weight(kind, small), pi_weight(kind, large)
-    diffs = [i for i in range(kind.N) if a[i] != b[i]]
-    if len(diffs) != 1 or b[diffs[0]] - a[diffs[0]] != 1:
-        raise InvalidInputError(f"{tuple(large)} does not cover {tuple(small)}")
-    return diffs[0]
 
 
 # ---------------------------------------------------------------------------

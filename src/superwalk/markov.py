@@ -9,6 +9,12 @@ Both conditioned kernels are built by :func:`doob_transform`, the only code
 that reweights a row, over the walk restricted to the shape lattice: by psi
 (:func:`pi_shape`) and by the truncated stay probability
 (:func:`conditioned_step_kernel`; König, O'Connell and Roch 2002).
+
+The truncated stay probabilities come from one graded DP, written once as
+the generator ``_stay_levels``, whose level r is the mass of the paths that
+stayed for r steps.  :func:`stay_probability_truncated` reads one level;
+``superwalk exit-prob`` reads levels 1 to H of one pass, a table that
+decreases to the closed form psi / nabla as H grows.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 from .characters import ProbVector, check_length, nabla, psi, require_condition
 from .errors import ContractViolationError, InvalidInputError
@@ -168,14 +175,28 @@ def stay_probability_truncated(
     if type(horizon) is not int or horizon < 0:
         raise InvalidInputError(f"horizon must be a nonnegative integer, got {horizon!r}")
     check_length(kind, p.values)
+    frontier = next(islice(_stay_levels(kind, lam, p), horizon, None))
+    return sum(frontier.values(), Fraction(0))
+
+
+def _stay_levels(
+    kind: AlgebraKind, lam: Sequence[int], p: ProbVector
+) -> Iterator[dict[Weight, Fraction]]:
+    """The graded stay DP from lam: yields, at horizons 0, 1, 2, ..., the
+    mass of the walk paths that stayed in the shape lattice, by pi-weight.
+
+    Level r sums to the stay probability truncated at r.  A level is
+    computed only when the previous one has been read, so a caller pays for
+    the levels it reads and for none beyond them.
+    """
     frontier: dict[Weight, Fraction] = {pi_weight(kind, lam): Fraction(1)}
-    for _ in range(horizon):
+    while True:
+        yield frontier
         nxt: dict[Weight, Fraction] = {}
         for w, mass in frontier.items():
             for i, cand in _steps(kind, w):
                 nxt[cand] = nxt.get(cand, Fraction(0)) + mass * p.values[i]
         frontier = nxt
-    return sum(frontier.values(), Fraction(0))
 
 
 def conditioned_step_kernel(

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .characters import SparseCharacter, character_polynomial
 from .errors import BudgetExceededError, DecompositionError, InvalidInputError
@@ -46,15 +47,26 @@ def chain_counts(
     shapes (inside ``outer`` if given), by end shape.  A forward recursion
     over the levels, not a listing of chains, so drift-scale shapes stay cheap.
     """
+    return next(islice(_chain_levels(kind, inner, outer), steps, None))
+
+
+def _chain_levels(
+    kind: AlgebraKind, inner: Shape, outer: Shape | None = None
+) -> Iterator[dict[Shape, int]]:
+    """The chain-count recursion from ``inner``: yields, at levels 0, 1,
+    2, ..., the number of one-box chains of that many steps through valid
+    shapes (inside ``outer`` if given), by end shape.  A level is computed
+    only when the previous one has been read.
+    """
     frontier: dict[Shape, int] = {inner: 1}
-    for _ in range(steps):
+    while True:
+        yield frontier
         nxt: dict[Shape, int] = {}
         for nu, cnt in frontier.items():
             for step in successors(kind, nu):
                 if outer is None or contains(kind, outer, step):
                     nxt[step] = nxt.get(step, 0) + cnt
         frontier = nxt
-    return frontier
 
 
 def f_skew(kind: AlgebraKind, outer: Sequence[int], inner: Sequence[int] = ()) -> int:

@@ -13,6 +13,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .characters import ProbVector, check_length, require_condition, schur
@@ -23,12 +24,14 @@ from .kinds import (
     Weight,
     Word,
     check_shape,
+    contains,
     in_semigroup,
     pi_weight,
     shape_from_weight,
+    shape_size,
 )
 from .markov import green, pi_shape, stay_probability_truncated
-from .multiplicities import f_count, f_skew
+from .multiplicities import _chain_levels, f_count
 from .tableaux import DEFAULT_BOX_BUDGET
 
 _BITS = 64
@@ -178,7 +181,14 @@ def sample_shape_chain(
 ) -> tuple[Shape, ...]:
     """Markov chain of the shape process sampled directly from its kernel."""
     _require_at_least(0, length=length)
-    return next(_shape_chains(pi_shape(kind, p), 1, length, rng))
+    return next(_shape_chains(_shape_kernel(kind, p), 1, length, rng))
+
+
+@lru_cache(maxsize=16)
+def _shape_kernel(kind: AlgebraKind, p: ProbVector):
+    """One :func:`pi_shape` kernel, with its psi cache, per kind and law,
+    shared by the calls of :func:`sample_shape_chain`."""
+    return pi_shape(kind, p)
 
 
 def _shape_chains(kernel, paths: int, length: int, rng: RngStream):
@@ -367,12 +377,14 @@ def _final_quartile_deviation(rows, target: Fraction) -> float:
     return max(devs) if devs else math.inf
 
 
-def _drift_trend(
-    kind: AlgebraKind, p: ProbVector, l_max: int, target: Fraction, value
-) -> TrendReport:
-    """The drift loop of both experiments: one row of ``value(g)`` at each
-    g = nearest valid shape to step * drift, for steps 1 to ``l_max``."""
-    shapes = (drift_shape(kind, p, step) for step in range(1, l_max + 1))
+def _drift_shapes(kind: AlgebraKind, p: ProbVector, l_max: int) -> tuple[Shape, ...]:
+    """g = nearest valid shape to step * drift, for steps 1 to ``l_max``."""
+    return tuple(drift_shape(kind, p, step) for step in range(1, l_max + 1))
+
+
+def _drift_trend(shapes: Sequence[Shape], target: Fraction, value) -> TrendReport:
+    """The drift loop of both experiments: one row of ``value(g)`` at the
+    g of each step."""
     rows = tuple(TrendRow(step, g, value(g)) for step, g in enumerate(shapes, 1))
     return TrendReport(rows, target, _final_quartile_deviation(rows, target))
 
@@ -403,7 +415,7 @@ def quotient_llt_experiment(
             return None
         return green(kind, p, (), shifted) / green(kind, p, (), g)
 
-    return _drift_trend(kind, p, l_max, Fraction(1), ratio)
+    return _drift_trend(_drift_shapes(kind, p, l_max), Fraction(1), ratio)
 
 
 def asympt_multiplicity_experiment(
@@ -414,11 +426,38 @@ def asympt_multiplicity_experiment(
     budget: int = DEFAULT_BOX_BUDGET,
 ) -> TrendReport:
     """Exact skew/straight chain-count ratio along the drift, trending to
-    s_mu(p); ``budget`` bounds the evaluation of s_mu(p)."""
+    s_mu(p); ``budget`` bounds the evaluation of s_mu(p).  Every skew count
+    comes from one pass of the chain recursion from mu."""
     require_condition(p)
     _require_at_least(1, l_max=l_max)
     mu = check_shape(kind, mu)
     target = schur(kind, mu, p, budget=budget)
-    return _drift_trend(
-        kind, p, l_max, target, lambda g: Fraction(f_skew(kind, g, mu), f_count(kind, g))
-    )
+    shapes = _drift_shapes(kind, p, l_max)
+    skew = _skew_counts(kind, mu, shapes)
+    return _drift_trend(shapes, target, lambda g: Fraction(skew[g], f_count(kind, g)))
+
+
+def _skew_counts(kind: AlgebraKind, mu: Shape, shapes: Sequence[Shape]) -> dict[Shape, int]:
+    """f^(g/mu) for each g of ``shapes``, as :func:`f_skew` gives it, with
+    every count read at level |g| - |mu| of one chain pass from mu.
+
+    The pass is bounded by the union of the g that contain mu, the
+    coordinatewise maximum of their pi-weights, which lies in the semigroup
+    of every kind.  A chain from mu to g stays inside g, so the bound only
+    prunes.  A g that does not contain mu gets 0.
+    """
+    if not mu:
+        return {g: f_count(kind, g) for g in shapes}
+    counts = dict.fromkeys(shapes, 0)
+    inside = [g for g in counts if contains(kind, g, mu)]
+    if not inside:
+        return counts
+    union = shape_from_weight(kind, [max(c) for c in zip(*(pi_weight(kind, g) for g in inside))])
+    wanted: dict[int, list[Shape]] = {}
+    for g in inside:
+        wanted.setdefault(shape_size(g) - shape_size(mu), []).append(g)
+    for level, frontier in enumerate(_chain_levels(kind, mu, union)):
+        for g in wanted.pop(level, ()):
+            counts[g] = frontier.get(g, 0)
+        if not wanted:
+            return counts

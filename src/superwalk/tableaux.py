@@ -124,10 +124,6 @@ class Tableau:
         }
 
 
-def empty_tableau(kind: AlgebraKind) -> Tableau:
-    return Tableau(kind, ())
-
-
 def is_valid_tableau(tab: Tableau) -> bool:
     """True iff the filling is a tableau of its kind: insertion gives its
     rows back from its reading word."""
@@ -597,33 +593,6 @@ def _added_cell(prev: Shape, cur: Shape) -> tuple[int, int]:
                 raise InvalidInputError(f"{cur} does not cover {prev}")
             return r, a[r]
     raise InvalidInputError(f"{cur} does not cover {prev}")
-
-
-def standard_from_rows(
-    kind: AlgebraKind,
-    rows: Sequence[Sequence[int]],
-    inner: Sequence[int] = (),
-) -> StandardTableau:
-    """Rebuild the shape chain from a filling; validates every step and
-    refuses a filling that is not the chain's own ``to_rows()``."""
-    inner = check_shape(kind, inner)
-    entries = sorted(
-        (rows[r][c], r) for r in range(len(rows)) for c in range(len(rows[r])) if rows[r][c]
-    )
-    if [e for e, _ in entries] != list(range(1, len(entries) + 1)):
-        raise InvalidInputError("filling must use 1..size exactly once")
-    cur = list(inner)
-    chain = []
-    for _, r in entries:
-        while len(cur) <= r:
-            cur.append(0)
-        cur[r] += 1
-        step = check_shape(kind, cur)
-        chain.append(step)
-    tab = StandardTableau(tuple(chain), inner)
-    if tab.to_rows() != tuple(map(tuple, rows)):
-        raise InvalidInputError(f"{tuple(map(tuple, rows))} is not a standard filling of its shape")
-    return tab
 
 
 def enumerate_standard(

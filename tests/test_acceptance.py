@@ -39,7 +39,6 @@ from superwalk import (
     doob_transform,
 )
 from superwalk.characters import hook_formula_applicable
-from superwalk.insertion import insertion_trace
 from superwalk.kinds import sub_weights
 from superwalk.multiplicities import dec_skew_coefficient_identity, shapes_of_size
 from superwalk.simulate import (
@@ -49,6 +48,8 @@ from superwalk.simulate import (
     sample_conditioned_ensemble,
 )
 from superwalk.suites import condition_points, shapes_up_to
+
+from oracles import insertion_trace
 
 
 def criterion(number, name, limit_seconds):

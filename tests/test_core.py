@@ -38,7 +38,7 @@ from superwalk import (
     successors,
     weight_of,
 )
-from superwalk.kinds import added_coordinate, check_shape, shape_size
+from superwalk.kinds import check_shape, shape_size
 from superwalk.markov import conditioned_step_kernel, pi_walk
 from superwalk.multiplicities import shapes_of_size
 from superwalk.simulate import (
@@ -49,6 +49,7 @@ from superwalk.simulate import (
     sample_shape_chain,
 )
 
+from oracles import added_coordinate
 
 KE4 = AlgebraKind.empty(4)
 KH22 = AlgebraKind.hook(2, 2)

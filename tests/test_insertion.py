@@ -26,8 +26,8 @@ from superwalk import (
     words_with_recording,
 )
 from superwalk.errors import InvalidInputError
-from superwalk.insertion import RskPair, _stream, insertion_trace, rsk_inverse
-from superwalk.kinds import EMPTY, STRICT, check_word, is_barred
+from superwalk.insertion import RskPair, _stream, rsk_inverse
+from superwalk.kinds import EMPTY, STRICT, check_word
 from superwalk.multiplicities import shapes_of_size
 from superwalk.tableaux import (
     ShapeChain,
@@ -35,7 +35,6 @@ from superwalk.tableaux import (
     _added_cell,
     _state,
     _tableau_state,
-    empty_tableau,
     enumerate_standard,
     enumerate_tableaux,
     hook_decompose,
@@ -43,9 +42,19 @@ from superwalk.tableaux import (
     reading,
 )
 
+from oracles import insertion_trace
+
 # ---------------------------------------------------------------------------
 # Per-letter oracle: column and hook-word row insertion on frozen rows
 # ---------------------------------------------------------------------------
+
+def is_barred(letter: int) -> bool:
+    return letter < 0
+
+
+def empty_tableau(kind: AlgebraKind) -> Tableau:
+    return Tableau(kind, ())
+
 
 def _rows_to_cols(rows) -> list[list[int]]:
     if not rows:

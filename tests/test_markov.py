@@ -1,8 +1,13 @@
-"""Kernels, Doob transforms, Green functions and stay probabilities."""
+"""Kernels, Doob transforms, Green functions and stay probabilities.
 
+``exit-prob`` reads every row of its table from one pass of the stay DP;
+one ``stay_probability_truncated`` call per horizon is its oracle.
+"""
+
+import csv
 from fractions import Fraction
 from functools import cache, partial
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -27,8 +32,9 @@ from superwalk import (
     successors,
 )
 from superwalk.characters import character_polynomial
-from superwalk.kinds import added_coordinate, check_shape, contains, pi_weight, sub_weights
-from superwalk.markov import conditioned_step_kernel
+from superwalk.cli import main
+from superwalk.kinds import check_shape, contains, format_rational, pi_weight, sub_weights
+from superwalk.markov import _stay_levels, conditioned_step_kernel
 from superwalk.simulate import (
     RngStream,
     drift_shape,
@@ -37,6 +43,8 @@ from superwalk.simulate import (
     sample_walk,
 )
 from superwalk.suites import condition_points, shapes_up_to
+
+from oracles import added_coordinate
 
 KE2 = AlgebraKind.empty(2)
 KS2 = AlgebraKind.strict(2)
@@ -320,17 +328,68 @@ def test_open_cone_formulas_agree():
             assert exp1 == exp2
 
 
+def _stay_table(kind, lam, p, horizon):
+    """Truncated stay probabilities at horizons 0 to ``horizon``, all read
+    from one pass of the stay DP."""
+    levels = islice(_stay_levels(kind, lam, p), horizon + 1)
+    return [sum(level.values(), Fraction(0)) for level in levels]
+
+
 def test_truncated_stay_bracket():
     closed = stay_probability(KE2, (), P2)
-    previous = None
-    for horizon in range(1, 31):
-        value = stay_probability_truncated(KE2, (), P2, horizon)
-        assert value >= closed
-        if previous is not None:
-            assert value <= previous
-        previous = value
-    assert previous - closed < Fraction(1, 100)
+    table = _stay_table(KE2, (), P2, 30)
+    assert table[0] == 1
+    assert all(a >= b >= closed for a, b in zip(table, table[1:]))
+    assert table[-1] - closed < Fraction(1, 100)
     assert closed == Fraction(1, 2)
+
+
+# gl(2,2) has the largest stay DP; 20 steps keep the sweep under about a second
+STAY_THEOREM_KINDS = (
+    AlgebraKind.empty(3), KS3, AlgebraKind.hook(1, 2), AlgebraKind.hook(2, 1),
+    AlgebraKind.hook(2, 2),
+)
+STAY_HORIZON = 20
+# the worst ratios seen at this horizon were 0.55 on gl(1,2) and 0.54 on gl(2,2)
+STAY_GAP_RATIO = Fraction(3, 5)
+
+
+@pytest.mark.parametrize("kind", STAY_THEOREM_KINDS, ids=AlgebraKind.describe)
+def test_stay_theorem_from_every_small_start(kind):
+    # the truncated stay probability decreases to psi / nabla from every start
+    # of at most three boxes; its gap to psi / nabla at the horizon is at most
+    # STAY_GAP_RATIO times its gap at half the horizon
+    p = condition_points(kind)[0]
+    for lam in shapes_up_to(kind, 3):
+        closed = stay_probability(kind, lam, p)
+        table = _stay_table(kind, lam, p, STAY_HORIZON)
+        assert all(a >= b >= closed for a, b in zip(table, table[1:])), lam
+        gap, half_gap = table[STAY_HORIZON] - closed, table[STAY_HORIZON // 2] - closed
+        assert gap <= STAY_GAP_RATIO * half_gap, lam
+
+
+ONE_PASS_KINDS = (AlgebraKind.empty(3), AlgebraKind.hook(2, 2), KS3, KH11, AlgebraKind.hook(1, 2))
+
+
+def _cli_args(kind, p):
+    args = ["--kind", kind.kind, "--n", str(kind.n), "--p", ",".join(map(format_rational, p.values))]
+    return args + ["--m", str(kind.m)] if kind.m else args
+
+
+@pytest.mark.parametrize("start", [(), (2, 1)], ids=["empty", "2,1"])
+@pytest.mark.parametrize("kind", ONE_PASS_KINDS, ids=AlgebraKind.describe)
+def test_exit_prob_rows_match_one_stay_call_per_horizon(capsys, kind, start):
+    p = condition_points(kind)[0]
+    horizon = 12 if kind.N == 4 else 16
+    shape = ",".join(map(str, start)) or "0"
+    assert main(["exit-prob", *_cli_args(kind, p), "--shape", shape, "--horizon", str(horizon)]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()[2:]))
+    closed = stay_probability(kind, start, p)
+    expected = []
+    for h in range(1, horizon + 1):
+        truncated = stay_probability_truncated(kind, start, p, h)
+        expected.append([str(h), *map(format_rational, (truncated, closed, truncated - closed))])
+    assert rows == expected
 
 
 def test_truncated_stay_other_kinds():

@@ -1,7 +1,9 @@
 """Sampler determinism, law agreement and exact-DP trend experiments.
 
 ``nearest_shape`` repairs a rounded vector by asking the semigroup; the
-per-kind repair it replaced stays here as its oracle.
+per-kind repair it replaced stays here as its oracle.  The asympt trend reads
+every skew count from one chain pass; one ``f_skew`` call per drift step is
+its oracle.
 """
 
 import math
@@ -20,6 +22,7 @@ from superwalk import (
     asympt_multiplicity_experiment,
     drift_shape,
     f_count,
+    f_skew,
     nearest_shape,
     pitman,
     quotient_llt_experiment,
@@ -37,6 +40,7 @@ from superwalk.simulate import (
     estimate_shape_law,
     sample_conditioned_ensemble,
 )
+from superwalk.suites import condition_points
 
 KE2 = AlgebraKind.empty(2)
 KS2 = AlgebraKind.strict(2)
@@ -318,6 +322,25 @@ def test_asympt_multiplicity_trends():
         assert abs(float(report.rows[-1].value) - float(limit)) < 0.05
     trivial = asympt_multiplicity_experiment(KE2, P2, (), 5)
     assert all(row.value == 1 for row in trivial.rows)
+
+
+@pytest.mark.parametrize("mu", [(1,), (2, 1)], ids=["1", "2,1"])
+@pytest.mark.parametrize(
+    "kind",
+    (AlgebraKind.empty(3), AlgebraKind.hook(2, 2), AlgebraKind.strict(3), KH11,
+     AlgebraKind.hook(1, 2)),
+    ids=AlgebraKind.describe,
+)
+def test_asympt_rows_match_one_f_skew_per_drift_step(kind, mu):
+    # the first drift shapes do not contain (2,1), so their rows read 0
+    p = condition_points(kind)[0]
+    l_max = 16 if kind.N == 4 else 24
+    report = asympt_multiplicity_experiment(kind, p, mu, l_max)
+    shapes = [drift_shape(kind, p, step) for step in range(1, l_max + 1)]
+    assert [row.shape for row in report.rows] == shapes
+    assert [row.value for row in report.rows] == [
+        Fraction(f_skew(kind, g, mu), f_count(kind, g)) for g in shapes
+    ]
 
 
 KS3 = AlgebraKind.strict(3)

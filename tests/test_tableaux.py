@@ -8,7 +8,8 @@ maximality, stay here as the oracles it is tested against, and so does the
 recursive generator of hook words, which the library now builds from their
 two parts.  So does the ``to_rows`` loop that finds each box by comparing
 consecutive shapes, which a word's recording tableau now replaces by
-replaying its chain's coordinates.
+replaying its chain's coordinates.  ``standard_from_rows``, which rebuilds a
+chain from its filling and has no caller in the library, lives here too.
 """
 
 from itertools import combinations, product
@@ -30,6 +31,7 @@ from superwalk import (
     reading,
     weight_of,
 )
+from superwalk.kinds import check_shape
 from superwalk.multiplicities import shapes_of_size
 from superwalk.tableaux import (
     ShapeChain,
@@ -38,7 +40,6 @@ from superwalk.tableaux import (
     _may_follow,
     hook_decompose,
     iter_hook_words,
-    standard_from_rows,
 )
 
 KE = AlgebraKind.empty(4)
@@ -339,6 +340,29 @@ def test_strict_standard_chains_respect_validity():
     chains = enumerate_standard(ks2, (2, 1))
     # (1,1) is not a strict shape so only one chain survives
     assert [c.chain for c in chains] == [((1,), (2,), (2, 1))]
+
+
+def standard_from_rows(kind, rows, inner=()):
+    """Rebuild the shape chain from a filling; validates every step and
+    refuses a filling that is not the chain's own ``to_rows()``."""
+    inner = check_shape(kind, inner)
+    entries = sorted(
+        (rows[r][c], r) for r in range(len(rows)) for c in range(len(rows[r])) if rows[r][c]
+    )
+    if [e for e, _ in entries] != list(range(1, len(entries) + 1)):
+        raise InvalidInputError("filling must use 1..size exactly once")
+    cur = list(inner)
+    chain = []
+    for _, r in entries:
+        while len(cur) <= r:
+            cur.append(0)
+        cur[r] += 1
+        step = check_shape(kind, cur)
+        chain.append(step)
+    tab = StandardTableau(tuple(chain), inner)
+    if tab.to_rows() != tuple(map(tuple, rows)):
+        raise InvalidInputError(f"{tuple(map(tuple, rows))} is not a standard filling of its shape")
+    return tab
 
 
 def test_standard_rows_roundtrip():
