@@ -398,12 +398,20 @@ def dec_skew_identity(
     if not contains(kind, lam, nu):
         raise InvalidInputError(f"{nu} is not contained in {lam}")
     boxes = shape_size(lam) - shape_size(nu)
-    total = 0
+    return _dec_skew_sums(kind, nu, boxes, budget, max_nodes).get(lam, 0) == f_skew(kind, lam, nu)
+
+
+def _dec_skew_sums(
+    kind: AlgebraKind, nu: Shape, boxes: int, budget: int, max_nodes: int
+) -> dict[Shape, int]:
+    """Sum over the shapes mu of ``boxes`` boxes of f^mu c^lam_(nu mu), for
+    every lam at once: each product nu x mu is decomposed once."""
+    sums: dict[Shape, int] = {}
     for mu in shapes_of_size(kind, boxes):
-        mult = decompose_product(kind, nu, mu, budget, max_nodes).get(lam, 0)
-        if mult:
-            total += f_count(kind, mu) * mult
-    return total == f_skew(kind, lam, nu)
+        f = f_count(kind, mu)
+        for lam, mult in decompose_product(kind, nu, mu, budget, max_nodes).items():
+            sums[lam] = sums.get(lam, 0) + f * mult
+    return sums
 
 
 def dec_skew_coefficient_identity(

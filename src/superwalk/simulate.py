@@ -136,7 +136,7 @@ def estimate_shape_law(
     evaluations of the kernel and of the references alike."""
     _require_at_least(1, paths=paths, length=length)
     counts: dict[Shape, int] = {}
-    for chain in _shape_chains(pi_shape(kind, p, budget), paths, length, rng):
+    for chain in _shape_chains(pi_shape(kind, p, budget), {}, paths, length, rng):
         counts[chain[-1]] = counts.get(chain[-1], 0) + 1
     label = {lam: "shape " + ",".join(map(str, lam)) for lam in sorted(counts)}
     return _frequency_report(
@@ -181,23 +181,24 @@ def sample_shape_chain(
 ) -> tuple[Shape, ...]:
     """Markov chain of the shape process sampled directly from its kernel."""
     _require_at_least(0, length=length)
-    return next(_shape_chains(_shape_kernel(kind, p), 1, length, rng))
+    return next(_shape_chains(*_shape_kernel(kind, p), 1, length, rng))
 
 
 @lru_cache(maxsize=16)
 def _shape_kernel(kind: AlgebraKind, p: ProbVector):
-    """One :func:`pi_shape` kernel, with its psi cache, per kind and law,
-    shared by the calls of :func:`sample_shape_chain`."""
-    return pi_shape(kind, p)
+    """One :func:`pi_shape` kernel, with its psi cache, and its cumulative
+    rows per kind and law, shared by the calls of :func:`sample_shape_chain`."""
+    return pi_shape(kind, p), {}
 
 
-def _shape_chains(kernel, paths: int, length: int, rng: RngStream):
+def _shape_chains(
+    kernel, cumulative: dict[Shape, list], paths: int, length: int, rng: RngStream
+):
     """Yield ``paths`` chains of ``length`` steps from the empty shape.
 
-    The chains share one kernel and its cumulative rows, which depend only
-    on the kind and the law; each step takes one draw.
+    The chains share one kernel and the ``cumulative`` rows filled from it,
+    which depend only on the kind and the law; each step takes one draw.
     """
-    cumulative: dict[Shape, list] = {}
     for _ in range(paths):
         state: Shape = ()
         out = []

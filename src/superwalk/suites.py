@@ -2,13 +2,15 @@
 
 Each suite runs an exact identity sweep at a configurable desk-scale budget
 and returns a list of failure descriptions (empty means the suite passed).
+A suite lists its shapes level by level from one chain pass, and the suites
+on tensor products decompose each product once, for every outer shape.
 """
 
 from __future__ import annotations
 
 import inspect
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Callable
 
 from .characters import (
@@ -19,16 +21,10 @@ from .characters import (
     weyl_route_applicable,
 )
 from .insertion import pitman, rsk
-from .kinds import AlgebraKind, contains, shape_size, successors
+from .kinds import AlgebraKind, shape_size, successors
 from .markov import pi_restricted, stay_probability
-from .multiplicities import (
-    decompose_product,
-    dec_skew_identity,
-    f_count,
-    lr_count,
-    shapes_of_size,
-)
-from .tableaux import enumerate_standard, enumerate_tableaux
+from .multiplicities import _chain_levels, _dec_skew_sums, decompose_product, f_count, lr_count
+from .tableaux import DEFAULT_NODE_BUDGET, enumerate_standard, enumerate_tableaux
 
 def condition_points(kind: AlgebraKind, count: int = 3) -> list[ProbVector]:
     """Deterministic strictly decreasing probability vectors."""
@@ -40,9 +36,14 @@ def condition_points(kind: AlgebraKind, count: int = 3) -> list[ProbVector]:
     return out
 
 
-def shapes_up_to(kind: AlgebraKind, boxes: int):
-    for size in range(boxes + 1):
-        yield from shapes_of_size(kind, size)
+def _levels(kind: AlgebraKind, boxes: int) -> list[list]:
+    """The valid shapes of 0, 1, ..., ``boxes`` boxes from one chain pass,
+    each level sorted as ``shapes_of_size`` sorts it."""
+    return [sorted(level) for _, level in zip(range(boxes + 1), _chain_levels(kind, ()))]
+
+
+def shapes_up_to(kind: AlgebraKind, boxes: int) -> list:
+    return [lam for level in _levels(kind, boxes) for lam in level]
 
 
 def _default_kinds(n: int, m: int) -> list[AlgebraKind]:
@@ -139,30 +140,36 @@ def suite_pieri(n: int = 3, m: int = 2, budget: int = 5) -> list[str]:
 def suite_lr_hook(n: int = 2, m: int = 2, budget: int = 6) -> list[str]:
     failures = []
     kind = AlgebraKind.hook(m, n)
-    for lam in shapes_up_to(kind, budget):
-        for kappa in shapes_up_to(kind, shape_size(lam)):
-            if not contains(kind, lam, kappa):
-                continue
-            rest = shape_size(lam) - shape_size(kappa)
-            for mu in shapes_of_size(kind, rest):
-                combinatorial = lr_count(kind, lam, kappa, mu)
-                algebraic = decompose_product(kind, kappa, mu, budget=budget).get(lam, 0)
-                if combinatorial != algebraic:
-                    failures.append(
-                        f"lr({lam},{kappa},{mu}) = {combinatorial} != decompose {algebraic}"
-                    )
+    levels = _levels(kind, budget)
+    for kappa in chain.from_iterable(levels):
+        # the shapes containing kappa, level by level, from one chain pass
+        from_kappa = _chain_levels(kind, kappa)
+        for boxes in range(budget - shape_size(kappa) + 1):
+            outer = sorted(next(from_kappa))
+            for mu in levels[boxes]:
+                dec = decompose_product(kind, kappa, mu, budget=budget)
+                for lam in outer:
+                    combinatorial = lr_count(kind, lam, kappa, mu)
+                    algebraic = dec.get(lam, 0)
+                    if combinatorial != algebraic:
+                        failures.append(
+                            f"lr({lam},{kappa},{mu}) = {combinatorial} != decompose {algebraic}"
+                        )
     return failures
 
 
 def suite_dec_skew(n: int = 2, m: int = 1, budget: int = 5) -> list[str]:
     failures = []
     for kind in _default_kinds(n, m):
-        for lam in shapes_up_to(kind, budget):
-            for nu in shapes_up_to(kind, shape_size(lam)):
-                if not contains(kind, lam, nu):
-                    continue
-                if not dec_skew_identity(kind, lam, nu, budget=budget):
-                    failures.append(f"{kind.describe()}: dec-skew failure at {lam}/{nu}")
+        for nu in shapes_up_to(kind, budget):
+            # f^(lam/nu) for every lam of each level, from one chain pass
+            from_nu = _chain_levels(kind, nu)
+            for boxes in range(budget - shape_size(nu) + 1):
+                counts = next(from_nu)
+                sums = _dec_skew_sums(kind, nu, boxes, budget, DEFAULT_NODE_BUDGET)
+                for lam in sorted(counts):
+                    if sums.get(lam, 0) != (counts[lam] if nu else f_count(kind, lam)):
+                        failures.append(f"{kind.describe()}: dec-skew failure at {lam}/{nu}")
     return failures
 
 

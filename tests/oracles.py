@@ -1,10 +1,12 @@
-"""Helpers that several test modules share and the library no longer keeps,
-because no caller outside the tests used them."""
+"""Helpers and reference routes that the tests share and the library no
+longer keeps, because no caller outside the tests used them."""
 
 from typing import Sequence
 
+from superwalk import multiplicities
 from superwalk.errors import InvalidInputError
-from superwalk.kinds import AlgebraKind, check_word, pi_weight
+from superwalk.kinds import AlgebraKind, check_word, contains, pi_weight, shape_size
+from superwalk.multiplicities import f_count, lr_count, shapes_of_size
 from superwalk.tableaux import Tableau, _state
 
 
@@ -29,3 +31,47 @@ def insertion_trace(kind: AlgebraKind, word: Sequence[int]) -> list[Tableau]:
         state.push(x)
         out.append(Tableau(kind, state.rows()))
     return out
+
+
+# The lr-hook and dec-skew suites as they were before they decomposed each
+# product once: a loop per outer shape lam, with one chain DP per size and one
+# product per (lam, inner, mu).  ``decompose_product`` and ``f_skew`` are read
+# from their module at call time, so a test can replace them in both routes.
+
+def shapes_up_to_per_size(kind: AlgebraKind, boxes: int) -> list:
+    return [lam for size in range(boxes + 1) for lam in shapes_of_size(kind, size)]
+
+
+def lr_hook_per_lambda(n: int = 2, m: int = 2, budget: int = 6) -> list[str]:
+    failures = []
+    kind = AlgebraKind.hook(m, n)
+    for lam in shapes_up_to_per_size(kind, budget):
+        for kappa in shapes_up_to_per_size(kind, shape_size(lam)):
+            if not contains(kind, lam, kappa):
+                continue
+            rest = shape_size(lam) - shape_size(kappa)
+            for mu in shapes_of_size(kind, rest):
+                combinatorial = lr_count(kind, lam, kappa, mu)
+                dec = multiplicities.decompose_product(kind, kappa, mu, budget=budget)
+                algebraic = dec.get(lam, 0)
+                if combinatorial != algebraic:
+                    failures.append(
+                        f"lr({lam},{kappa},{mu}) = {combinatorial} != decompose {algebraic}"
+                    )
+    return failures
+
+
+def dec_skew_per_lambda(n: int = 2, m: int = 1, budget: int = 5) -> list[str]:
+    failures = []
+    for kind in (AlgebraKind.empty(n), AlgebraKind.hook(m, n), AlgebraKind.strict(n)):
+        for lam in shapes_up_to_per_size(kind, budget):
+            for nu in shapes_up_to_per_size(kind, shape_size(lam)):
+                if not contains(kind, lam, nu):
+                    continue
+                total = 0
+                for mu in shapes_of_size(kind, shape_size(lam) - shape_size(nu)):
+                    dec = multiplicities.decompose_product(kind, nu, mu, budget)
+                    total += f_count(kind, mu) * dec.get(lam, 0)
+                if total != multiplicities.f_skew(kind, lam, nu):
+                    failures.append(f"{kind.describe()}: dec-skew failure at {lam}/{nu}")
+    return failures

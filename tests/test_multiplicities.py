@@ -34,8 +34,10 @@ from superwalk.multiplicities import (
     shapes_of_size,
 )
 from superwalk.simulate import drift_shape
-from superwalk.suites import condition_points, shapes_up_to
+from superwalk.suites import condition_points, shapes_up_to, suite_dec_skew, suite_lr_hook
 from superwalk.tableaux import DEFAULT_NODE_BUDGET
+
+from oracles import dec_skew_per_lambda, lr_hook_per_lambda, shapes_up_to_per_size
 
 KE2 = AlgebraKind.empty(2)
 KE3 = AlgebraKind.empty(3)
@@ -363,6 +365,61 @@ def test_dec_skew_identity_sweep():
                 ):
                     continue
                 assert dec_skew_identity(kind, lam, nu)
+
+
+def test_shapes_up_to_lists_each_level_as_shapes_of_size():
+    for kind in (KE3, KH22, KS3, AlgebraKind.hook(1, 2)):
+        assert shapes_up_to(kind, 7) == shapes_up_to_per_size(kind, 7)
+    assert shapes_up_to(KE2, -1) == []
+
+
+# (m, n) of gl(1,2), gl(2,1) and gl(2,2)
+LR_HOOK_SIZES = ((1, 2), (2, 1), (2, 2))
+
+
+def test_tensor_product_suites_pass_like_their_per_lambda_loops():
+    for m, n in LR_HOOK_SIZES:
+        assert suite_lr_hook(n, m, 6) == lr_hook_per_lambda(n, m, 6) == []
+    assert suite_dec_skew(budget=6) == dec_skew_per_lambda(budget=6) == []
+
+
+def _drop_one_constituent(true_decompose):
+    def mutant(kind, kappa, mu, *args, **kwargs):
+        dec = true_decompose(kind, kappa, mu, *args, **kwargs)
+        if len(dec) > 1:
+            dec.pop(next(reversed(dec)))
+        return dec
+    return mutant
+
+
+def _one_chain_count_off_by_one(true_levels, shape=(2, 1)):
+    def mutant(kind, inner, outer=None):
+        for level in true_levels(kind, inner, outer):
+            yield {lam: count + (lam == shape) for lam, count in level.items()}
+    return mutant
+
+
+@pytest.mark.parametrize("name,make", [
+    ("decompose_product", _drop_one_constituent),
+    ("_chain_levels", _one_chain_count_off_by_one),
+])
+def test_tensor_product_suites_fail_like_their_per_lambda_loops(monkeypatch, name, make):
+    # both routes read the mutant wherever the library and the suites name it
+    from collections import Counter
+
+    from superwalk import multiplicities, suites
+
+    mutant = make(getattr(multiplicities, name))
+    for module in (multiplicities, suites):
+        monkeypatch.setattr(module, name, mutant)
+    seen = []
+    for m, n in LR_HOOK_SIZES:
+        new, old = suite_lr_hook(n, m, 5), lr_hook_per_lambda(n, m, 5)
+        assert Counter(new) == Counter(old)
+        seen += new
+    new, old = suite_dec_skew(budget=5), dec_skew_per_lambda(budget=5)
+    assert new and Counter(new) == Counter(old)
+    assert seen if name == "decompose_product" else not seen
 
 
 def test_dec_skew_coefficient_identity_along_drift():
