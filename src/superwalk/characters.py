@@ -30,6 +30,7 @@ the oracle the Weyl routes are swept against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -199,24 +200,81 @@ class SparseCharacter:
         return sum(self.terms.values())
 
     def __mul__(self, other: "SparseCharacter") -> "SparseCharacter":
-        out: dict[Weight, int] = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(wa, wb))
-                out[key] = out.get(key, 0) + ca * cb
-        return SparseCharacter(out)
-
-    def scaled_minus(self, coeff: int, other: "SparseCharacter") -> "SparseCharacter":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) - coeff * c
-        return SparseCharacter(out)
+        """Product of characters.  Each weight, shifted by its factor's least
+        coordinate, is packed into one int with the last coordinate most
+        significant, in a base above the largest coordinate a product can
+        reach, so a product weight is one int addition and no coordinate
+        carries; each distinct product weight is unpacked once."""
+        if not self.terms or not other.terms:
+            return SparseCharacter()
+        low_a, high_a = _coordinate_range(self.terms)
+        low_b, high_b = _coordinate_range(other.terms)
+        base = high_a - low_a + high_b - low_b + 1
+        right = _packed(other.terms, low_b, base)
+        out: dict[int, int] = {}
+        get = out.get
+        for ka, ca in _packed(self.terms, low_a, base):
+            for kb, cb in right:
+                key = ka + kb
+                out[key] = get(key, 0) + ca * cb
+        low, size = low_a + low_b, len(next(iter(self.terms)))
+        unpacked: dict[Weight, int] = {}
+        for key, c in out.items():
+            w = []
+            for _ in range(size):
+                key, digit = divmod(key, base)
+                w.append(digit + low)
+            unpacked[tuple(w)] = c
+        return SparseCharacter(unpacked)
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
-        total = Fraction(0)
-        for w, c in self.terms.items():
-            total += c * _power(values, w)
-        return total
+        """Value at ``values``, as one integer sum over one denominator.
+
+        With D the least common denominator and b_i = D v_i, the term of
+        weight w is c_w prod b_i^(w_i - low_i) D^(top - |w|) over
+        D^top prod b_i^(-low_i), where top is the largest |w| and low_i the
+        least i-th coordinate (or 0); the numerators are summed as ints and
+        reduced once.  A zero value under a negative exponent raises
+        ZeroDivisionError.
+        """
+        if not self.terms:
+            return Fraction(0)
+        common = math.lcm(*(v.denominator for v in values))
+        scaled = [v.numerator * (common // v.denominator) for v in values]
+        weights = list(self.terms)
+        den = 1
+        powers = []
+        for b, column in zip(scaled, zip(*weights)):
+            low, high = min(0, *column), max(0, *column)
+            den *= b**-low
+            table, power = {}, 1
+            for e in range(low, high + 1):
+                table[e] = power
+                power *= b
+            powers.append(table)
+        sizes = [sum(w) for w in weights]
+        top = max(sizes)
+        common_powers = [common**k for k in range(top - min(sizes) + 1)]
+        total = 0
+        for (w, c), size in zip(self.terms.items(), sizes):
+            total += c * common_powers[top - size] * math.prod(map(dict.__getitem__, powers, w))
+        return Fraction(total, den * common**top)
+
+
+def _coordinate_range(terms: dict[Weight, int]) -> tuple[int, int]:
+    """Least and largest coordinate over every weight of ``terms``."""
+    return min(map(min, terms)), max(map(max, terms))
+
+
+def _packed(terms: dict[Weight, int], low: int, base: int) -> list[tuple[int, int]]:
+    """(packed weight, coefficient) pairs: w_0 - low + (w_1 - low) base + ..."""
+    out = []
+    for w, c in terms.items():
+        key = 0
+        for x in reversed(w):
+            key = key * base + x - low
+        out.append((key, c))
+    return out
 
 
 # Insertion-ordered, so the first key is the oldest; bounded so that a

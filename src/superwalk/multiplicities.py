@@ -23,7 +23,6 @@ from .kinds import (
     STRICT,
     AlgebraKind,
     Shape,
-    Weight,
     check_shape,
     conjugate,
     contains,
@@ -133,12 +132,6 @@ def shapes_of_size(kind: AlgebraKind, boxes: int) -> list[Shape]:
 # Tensor product decomposition
 # ---------------------------------------------------------------------------
 
-def _revlex_max(weights) -> Weight:
-    # revlex-greater means smaller in the last differing coordinate, so the
-    # maximum is the lexicographic minimum of the reversed tuples
-    return min(weights, key=lambda w: w[::-1])
-
-
 def decompose_product(
     kind: AlgebraKind,
     kappa: Sequence[int],
@@ -167,8 +160,11 @@ def decompose_product(
       (no other shape reaches that weight), with that shape's multiplicity
       as coefficient, and the same holds for every residual.
 
-    A negative leading coefficient or a leading weight that is no pi-weight
-    therefore means a wrong character, and raises DecompositionError.
+    A negative leading coefficient, a leading weight that is no pi-weight or
+    a constituent weight outside the product's support therefore means a
+    wrong character, and raises DecompositionError.  Since no constituent
+    reaches a weight revlex above its own top, one sweep of the product's
+    weights in revlex-descending order meets every leading weight in turn.
     """
     kappa = check_shape(kind, kappa)
     mu = check_shape(kind, mu)
@@ -182,21 +178,30 @@ def decompose_product(
 
 
 def _decompose_greedy(
-    kind: AlgebraKind, residual: SparseCharacter, budget: int, max_nodes: int
+    kind: AlgebraKind, product: SparseCharacter, budget: int, max_nodes: int
 ) -> dict[Shape, int]:
+    """The sweep of :func:`decompose_product`: the product's weights in
+    revlex-descending order, the lexicographic order of the reversed tuples,
+    with each constituent's character subtracted from one residual in place."""
+    residual = dict(product.terms)
     out: dict[Shape, int] = {}
-    while residual:
-        top = _revlex_max(residual.terms)
-        coeff = residual.terms[top]
+    for top in sorted(residual, key=lambda w: w[::-1]):
+        coeff = residual[top]
+        if not coeff:
+            continue
         if coeff < 0 or not in_semigroup(kind, top):
             raise DecompositionError(
                 f"leading weight {top} with coefficient {coeff} is not a highest "
                 f"weight of the product for {kind.describe()}"
             )
         lam = shape_from_weight(kind, top)
-        residual = residual.scaled_minus(
-            coeff, character_polynomial(kind, lam, budget, max_nodes)
-        )
+        for w, c in character_polynomial(kind, lam, budget, max_nodes).terms.items():
+            if w not in residual:
+                raise DecompositionError(
+                    f"weight {w} of {lam} lies outside the product's support "
+                    f"for {kind.describe()}"
+                )
+            residual[w] -= coeff * c
         out[lam] = coeff
     return out
 
@@ -234,32 +239,28 @@ class LrTableau:
         }
 
 
+def _reading_cells(m: int, outer: Shape, inner: Shape) -> list[tuple[int, int]]:
+    """The cells (row, column) of outer/inner in the order
+    :func:`lr_reading_word` reads them."""
+    inner = inner + (0,) * (len(outer) - len(inner))
+    cells = [
+        (r, c) for r in range(min(m, len(outer))) for c in range(outer[r] - 1, inner[r] - 1, -1)
+    ]
+    below = range(m, len(outer))
+    width = max((outer[r] for r in below), default=0)
+    for c in range(width - 1, -1, -1):
+        cells.extend((r, c) for r in below if inner[r] <= c < outer[r])
+    return cells
+
+
 def lr_reading_word(tab: LrTableau) -> tuple[int, ...]:
     """Appendix reading: the first m rows right-to-left top-to-bottom, then
     the columns of the part below row m, rightmost column first, each top to
     bottom."""
-    m = tab.kind.m
     inner = tab.inner + (0,) * (len(tab.outer) - len(tab.inner))
-    word: list[int] = []
-    for r in range(min(m, len(tab.rows))):
-        word.extend(reversed(tab.rows[r]))
-    below = range(m, len(tab.rows))
-    if below:
-        width = max((tab.outer[r] for r in below), default=0)
-        for col in range(width - 1, -1, -1):
-            for r in below:
-                if inner[r] <= col < tab.outer[r]:
-                    word.append(tab.rows[r][col - inner[r]])
-    return tuple(word)
-
-
-def is_permutation_word(word: Sequence[int]) -> bool:
-    counts: dict[int, int] = {}
-    for x in word:
-        counts[x] = counts.get(x, 0) + 1
-        if counts[x] > counts.get(x - 1, 0) and x > 1:
-            return False
-    return True
+    return tuple(
+        tab.rows[r][c - inner[r]] for r, c in _reading_cells(tab.kind.m, tab.outer, tab.inner)
+    )
 
 
 def lr_enumerate(
@@ -268,7 +269,13 @@ def lr_enumerate(
     kappa: Sequence[int],
     mu: Sequence[int],
 ) -> list[LrTableau]:
-    """All LR tableaux of shape lam/kappa with content mu (hook kind)."""
+    """All LR tableaux of shape lam/kappa with content mu (hook kind).
+
+    The cells are filled in reading order, so a letter is kept only while
+    the reading word so far is a ballot word.  A cell's right and upper
+    neighbours come before it in that order, so rows weakly increase and
+    columns strictly increase when each cell is checked against those two.
+    """
     if kind.kind != HOOK:
         raise InvalidInputError("the LR rule implemented here is hook-kind only")
     lam = check_shape(kind, lam)
@@ -279,19 +286,19 @@ def lr_enumerate(
     if shape_size(mu) != shape_size(lam) - shape_size(kappa):
         raise InvalidInputError("content size must match the skew size")
     inner = kappa + (0,) * (len(lam) - len(kappa))
-    cells = [
-        (r, c) for r in range(len(lam)) for c in range(inner[r], lam[r])
-    ]
+    cells = _reading_cells(kind.m, lam, kappa)
     content = mu
     maxletter = len(content)
     grid = {cell: 0 for cell in cells}
-    used = [0] * (maxletter + 1)
+    # used[v] counts the letters v placed so far; used[0] = |mu| lets
+    # letter 1 pass the ballot test used[v] < used[v - 1]
+    used = [shape_size(mu)] + [0] * maxletter
     out: list[LrTableau] = []
 
     def admissible(r: int, c: int, v: int) -> bool:
-        if c - 1 >= inner[r] and grid[(r, c - 1)] > v:
+        if c + 1 < lam[r] and grid[(r, c + 1)] < v:
             return False
-        if r > 0 and c >= inner[r - 1] and c < lam[r - 1] and grid[(r - 1, c)] >= v:
+        if r > 0 and inner[r - 1] <= c < lam[r - 1] and grid[(r - 1, c)] >= v:
             return False
         return True
 
@@ -301,13 +308,11 @@ def lr_enumerate(
                 tuple(grid[(r, c)] for c in range(inner[r], lam[r]))
                 for r in range(len(lam))
             )
-            tab = LrTableau(kind, lam, kappa, rows)
-            if is_permutation_word(lr_reading_word(tab)):
-                out.append(tab)
+            out.append(LrTableau(kind, lam, kappa, rows))
             return
         r, c = cells[k]
         for v in range(1, maxletter + 1):
-            if used[v] < content[v - 1] and admissible(r, c, v):
+            if used[v] < content[v - 1] and used[v] < used[v - 1] and admissible(r, c, v):
                 grid[(r, c)] = v
                 used[v] += 1
                 rec(k + 1)

@@ -114,12 +114,15 @@ def _frequency_report(counts: dict[str, int], total: int, references: dict) -> E
 def estimate_letter_frequencies(
     kind: AlgebraKind, p: ProbVector, paths: int, length: int, rng: RngStream
 ) -> EstimateReport:
-    """Empirical letter frequencies of sampled walks; letter i estimates p_i."""
+    """Empirical letter frequencies of sampled walks; letter i estimates p_i.
+    The paths are consecutive stretches of one stream of letters, drawn as
+    :func:`sample_walk` draws them from one cumulative table."""
     _require_at_least(1, paths=paths, length=length)
+    check_length(kind, p.values)
+    cum = _cumulative(zip(kind.alphabet, p.values))
     counts = {letter: 0 for letter in kind.alphabet}
-    for _ in range(paths):
-        for x in sample_walk(kind, p, length, rng):
-            counts[x] += 1
+    for _ in range(paths * length):
+        counts[_pick(cum, rng.draw_bits())] += 1
     return _frequency_report(
         {f"letter {letter}": c for letter, c in counts.items()},
         paths * length,

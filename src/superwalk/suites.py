@@ -55,7 +55,9 @@ def suite_rsk_bijection(n: int = 3, m: int = 2, length: int = 5, budget: int = 8
     for kind in _default_kinds(n, m):
         for L in range(1, length + 1):
             seen = {}
-            by_shape: dict[tuple, set] = {}
+            # per shape: the P rows and the Q chains met, and the pair count
+            by_shape: dict[tuple, tuple[set, set]] = {}
+            pairs: dict[tuple, int] = {}
             for w in product(kind.alphabet, repeat=L):
                 pair = rsk(kind, w)
                 key = (pair.p.rows, pair.q.chain)
@@ -63,17 +65,23 @@ def suite_rsk_bijection(n: int = 3, m: int = 2, length: int = 5, budget: int = 8
                     failures.append(f"{kind.describe()} L={L}: collision at {w} and {seen[key]}")
                     continue
                 seen[key] = w
-                by_shape.setdefault(pair.p.shape, set()).add(key)
+                lam = pair.p.shape
+                rows, chains = by_shape.setdefault(lam, (set(), set()))
+                rows.add(key[0])
+                chains.add(key[1])
+                pairs[lam] = pairs.get(lam, 0) + 1
             total = 0
-            for lam, got in by_shape.items():
-                tabs = enumerate_tableaux(kind, lam, budget=budget)
-                chains = enumerate_standard(kind, lam)
-                expect = {(t.rows, q.chain) for t in tabs for q in chains}
-                if got != expect:
+            # the image is injective, so it lies inside P rows x Q chains and
+            # is all of that product when it has as many pairs
+            for lam, (rows, chains) in by_shape.items():
+                tabs = {t.rows for t in enumerate_tableaux(kind, lam, budget=budget)}
+                standard = {q.chain for q in enumerate_standard(kind, lam)}
+                expect = len(tabs) * len(standard)
+                if rows != tabs or chains != standard or pairs[lam] != expect:
                     failures.append(
-                        f"{kind.describe()} L={L} shape {lam}: image has {len(got)} pairs, expected {len(expect)}"
+                        f"{kind.describe()} L={L} shape {lam}: image has {pairs[lam]} pairs, expected {expect}"
                     )
-                total += len(expect)
+                total += expect
             if total != len(kind.alphabet) ** L:
                 failures.append(
                     f"{kind.describe()} L={L}: sum f*|T| = {total} != N^L = {len(kind.alphabet) ** L}"

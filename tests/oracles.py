@@ -1,12 +1,20 @@
 """Helpers and reference routes that the tests share and the library no
 longer keeps, because no caller outside the tests used them."""
 
+from fractions import Fraction
 from typing import Sequence
 
 from superwalk import multiplicities
+from superwalk.characters import SparseCharacter, _power
 from superwalk.errors import InvalidInputError
-from superwalk.kinds import AlgebraKind, check_word, contains, pi_weight, shape_size
-from superwalk.multiplicities import f_count, lr_count, shapes_of_size
+from superwalk.kinds import AlgebraKind, check_shape, check_word, contains, pi_weight, shape_size
+from superwalk.multiplicities import (
+    LrTableau,
+    f_count,
+    lr_count,
+    lr_reading_word,
+    shapes_of_size,
+)
 from superwalk.tableaux import Tableau, _state
 
 
@@ -75,3 +83,71 @@ def dec_skew_per_lambda(n: int = 2, m: int = 1, budget: int = 5) -> list[str]:
                 if total != multiplicities.f_skew(kind, lam, nu):
                     failures.append(f"{kind.describe()}: dec-skew failure at {lam}/{nu}")
     return failures
+
+
+# The sparse-character kernels as they were before they worked in integers:
+# one reduced Fraction power per term, and one tuple sum per pair of terms.
+
+def evaluate_per_term(char: SparseCharacter, values: Sequence[Fraction]) -> Fraction:
+    total = Fraction(0)
+    for w, c in char.terms.items():
+        total += c * _power(values, w)
+    return total
+
+
+def multiply_tuples(a: SparseCharacter, b: SparseCharacter) -> SparseCharacter:
+    out: dict = {}
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(wa, wb))
+            out[key] = out.get(key, 0) + ca * cb
+    return SparseCharacter(out)
+
+
+# The LR enumerator as it was before the ballot rule pruned it: every
+# semistandard skew filling of the content, cells row by row, left to right,
+# kept when its reading word is a ballot word.
+
+def is_permutation_word(word: Sequence[int]) -> bool:
+    counts: dict[int, int] = {}
+    for x in word:
+        counts[x] = counts.get(x, 0) + 1
+        if counts[x] > counts.get(x - 1, 0) and x > 1:
+            return False
+    return True
+
+
+def lr_enumerate_then_filter(kind: AlgebraKind, lam, kappa, mu) -> list[LrTableau]:
+    lam, kappa, mu = (check_shape(kind, s) for s in (lam, kappa, mu))
+    inner = kappa + (0,) * (len(lam) - len(kappa))
+    cells = [(r, c) for r in range(len(lam)) for c in range(inner[r], lam[r])]
+    grid = dict.fromkeys(cells, 0)
+    used = [0] * (len(mu) + 1)
+    out: list[LrTableau] = []
+
+    def admissible(r: int, c: int, v: int) -> bool:
+        if c - 1 >= inner[r] and grid[(r, c - 1)] > v:
+            return False
+        return not (r > 0 and inner[r - 1] <= c < lam[r - 1] and grid[(r - 1, c)] >= v)
+
+    def rec(k: int):
+        if k == len(cells):
+            rows = tuple(
+                tuple(grid[(r, c)] for c in range(inner[r], lam[r])) for r in range(len(lam))
+            )
+            tab = LrTableau(kind, lam, kappa, rows)
+            if is_permutation_word(lr_reading_word(tab)):
+                out.append(tab)
+            return
+        r, c = cells[k]
+        for v in range(1, len(mu) + 1):
+            if used[v] < mu[v - 1] and admissible(r, c, v):
+                grid[(r, c)] = v
+                used[v] += 1
+                rec(k + 1)
+                used[v] -= 1
+        grid[(r, c)] = 0
+
+    rec(0)
+    out.sort(key=lambda t: t.rows)
+    return out

@@ -222,8 +222,16 @@ def test_criterion_4_markov_laws():
     for kind in kinds:
         p = condition_points(kind)[0]
         kernel = pi_shape(kind, p, budget=7)
+        restricted = pi_restricted(kind, p)
         for mu in shapes_up_to(kind, 5):
             assert kernel.row_sum(mu) == 1
+            # the Doob transform divides each row by its own total, so the
+            # row sum is 1 for any psi; harmonicity on the restricted row is
+            # what makes the kernel's entries p_i psi(lam_i) / psi(mu)
+            row = restricted.successors(mu)
+            assert sum(
+                (prob * psi(kind, lam, p, budget=7) for lam, prob in row), Fraction(0)
+            ) == psi(kind, mu, p, budget=7)
         # joint law of the first five shapes from exact word probabilities
         histories = {}
         for w in product(kind.alphabet, repeat=5):

@@ -21,6 +21,7 @@ from superwalk import (
     schur,
 )
 from superwalk.characters import (
+    SparseCharacter,
     _integer_det,
     character_value,
     hook_formula_applicable,
@@ -31,6 +32,8 @@ from superwalk.characters import (
 from superwalk.errors import FormulaDomainError
 from superwalk.simulate import drift_shape
 from superwalk.suites import condition_points, shapes_up_to
+
+from oracles import evaluate_per_term, multiply_tuples
 
 KE2 = AlgebraKind.empty(2)
 KE3 = AlgebraKind.empty(3)
@@ -261,6 +264,57 @@ def test_character_polynomial_cache_evicts_oldest(monkeypatch):
     # an evicted shape is recomputed to the same polynomial
     assert character_polynomial(KE3, (1,)).terms == polys[0].terms
     assert list(characters._char_poly_cache) == [(KE3, lam) for lam in shapes[-2:] + [(1,)]]
+
+
+# ---------------------------------------------------------------------------
+# Integer kernels against the per-term Fraction and tuple routes
+# ---------------------------------------------------------------------------
+
+KERNEL_KINDS = (KE3, KH22, AlgebraKind.hook(1, 3), AlgebraKind.strict(4))
+# unequal denominators, one value repeated everywhere, an integer value
+KERNEL_LAWS = (
+    (Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(3, 5)),
+    (Fraction(2, 9),) * 4,
+    (2, Fraction(1, 3), Fraction(3, 2), Fraction(7, 9)),
+)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS, ids=lambda k: k.describe())
+def test_integer_kernels_match_per_term_routes(kind):
+    polys = {lam: character_polynomial(kind, lam, budget=8) for lam in shapes_up_to(kind, 8)}
+    for poly in polys.values():
+        for law in KERNEL_LAWS:
+            values = law[: kind.N]
+            got = poly.evaluate(values)
+            assert type(got) is Fraction and got == evaluate_per_term(poly, values)
+    for ka, a in polys.items():
+        for mu, b in polys.items():
+            if sum(ka) + sum(mu) <= 8:
+                assert a * b == multiply_tuples(a, b), (ka, mu)
+
+
+def test_integer_kernels_on_hand_built_characters():
+    negative = SparseCharacter({(-2, 1, 0): 3, (1, -1, 2): -5, (0, 0, -3): 7})
+    cancelling = SparseCharacter({(1, 0, 0): 1, (0, 1, 0): -1})
+    plus = SparseCharacter({(1, 0, 0): 1, (0, 1, 0): 1})
+    empty = SparseCharacter()
+    chars = (negative, cancelling, plus, empty)
+    laws = [law[:3] for law in KERNEL_LAWS] + [(Fraction(0), Fraction(1, 2), 3)]
+    for char in chars:
+        for law in laws:
+            if law[0] == 0 and char is negative:
+                continue
+            assert char.evaluate(law) == evaluate_per_term(char, law)
+        for other in chars:
+            assert char * other == multiply_tuples(char, other)
+    # x1^2 - x2^2: the x1 x2 terms cancel and leave the support
+    assert (cancelling * plus).terms == {(2, 0, 0): 1, (0, 2, 0): -1}
+    assert cancelling.evaluate(KERNEL_LAWS[1][:3]) == 0
+    assert empty.evaluate(KERNEL_LAWS[0][:3]) == 0 and not empty * negative
+    # a zero value under a negative exponent has no value, by either route
+    for evaluate in (SparseCharacter.evaluate, evaluate_per_term):
+        with pytest.raises(ZeroDivisionError):
+            evaluate(negative, (Fraction(0), Fraction(1, 2), 3))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from superwalk import (
     DecompositionError,
     InvalidInputError,
     ProbVector,
+    contains,
     decompose_product,
     dec_skew_identity,
     enumerate_standard,
@@ -37,7 +38,12 @@ from superwalk.simulate import drift_shape
 from superwalk.suites import condition_points, shapes_up_to, suite_dec_skew, suite_lr_hook
 from superwalk.tableaux import DEFAULT_NODE_BUDGET
 
-from oracles import dec_skew_per_lambda, lr_hook_per_lambda, shapes_up_to_per_size
+from oracles import (
+    dec_skew_per_lambda,
+    lr_enumerate_then_filter,
+    lr_hook_per_lambda,
+    shapes_up_to_per_size,
+)
 
 KE2 = AlgebraKind.empty(2)
 KE3 = AlgebraKind.empty(3)
@@ -236,6 +242,26 @@ def test_tripped_guard_raises_decomposition_error():
     for residual in (SparseCharacter({(0, 1): 1}), SparseCharacter({(1, 0): -1})):
         with pytest.raises(DecompositionError):
             _decompose_greedy(KE2, residual, 8, DEFAULT_NODE_BUDGET)
+
+
+def test_constituent_weight_outside_the_support_raises():
+    # x_1 alone leads with pi((1,)), whose character also holds x_2
+    with pytest.raises(DecompositionError, match="outside the product's support"):
+        _decompose_greedy(KE2, SparseCharacter({(1, 0): 1}), 8, DEFAULT_NODE_BUDGET)
+
+
+@pytest.mark.parametrize("kind", [KH22, AlgebraKind.hook(1, 2), AlgebraKind.hook(2, 1)],
+                         ids=lambda k: k.describe())
+def test_lr_ballot_pruning_matches_fill_then_filter(kind):
+    shapes = shapes_up_to(kind, 7)
+    for lam in shapes:
+        for kappa in shapes:
+            if not contains(kind, lam, kappa):
+                continue
+            for mu in shapes_of_size(kind, sum(lam) - sum(kappa)):
+                assert lr_enumerate(kind, lam, kappa, mu) == lr_enumerate_then_filter(
+                    kind, lam, kappa, mu
+                ), (lam, kappa, mu)
 
 
 def test_lr_exam_instance():

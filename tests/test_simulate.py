@@ -285,6 +285,21 @@ def test_quotient_llt_undefined_entries():
     assert any(row.value is None for row in report.rows)
 
 
+@pytest.mark.parametrize("kind", [KE2, KH11, AlgebraKind.strict(3)], ids=lambda k: k.describe())
+def test_letter_frequencies_read_the_walks_sample_walk_draws(kind):
+    p = condition_points(kind)[1]
+    rng = RngStream(5)
+    counts = dict.fromkeys(kind.alphabet, 0)
+    for _ in range(7):
+        for x in sample_walk(kind, p, 3, rng):
+            counts[x] += 1
+    same = RngStream(5)
+    report = estimate_letter_frequencies(kind, p, 7, 3, same)
+    assert report.estimates == {f"letter {x}": c / 21 for x, c in counts.items()}
+    # and both leave the stream at the same draw
+    assert same.draw_bits() == rng.draw_bits()
+
+
 def test_estimate_reports():
     from superwalk.simulate import (
         estimate_conditioned_acceptance,
