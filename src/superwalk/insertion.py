@@ -10,7 +10,7 @@ recurses into the rows below.
 The recording side never looks at letters: it is the chain of shapes of the
 insertion tableau over prefixes, which is also the generalized Pitman
 transform of the word, held as a ``ShapeChain`` of the π-coordinate each
-letter's new cell raises.
+letter's new cell raises, from which ``rsk_inverse`` reads Q's cells.
 
 Each kind has one insertion procedure: the ``push`` of its mutable
 insertion state, which grows the shape in place and builds P only when
@@ -40,7 +40,6 @@ from .kinds import (
     HOOK,
     STRICT,
     AlgebraKind,
-    Shape,
     Word,
     check_word,
     is_valid_shape,
@@ -50,7 +49,6 @@ from .tableaux import (
     ShapeChain,
     StandardTableau,
     Tableau,
-    _added_cell,
     _state,
     _tableau_state,
 )
@@ -132,34 +130,36 @@ def pitman(kind: AlgebraKind, word: Sequence[int]) -> ShapeChain:
 def rsk_inverse(kind: AlgebraKind, pair: RskPair) -> Word:
     """Recover the word from its tableau pair by reverse bumping (empty kind).
 
-    Each step removes the box recorded last and walks it back through the
-    columns: the entry bumped out of column j was placed there by the largest
-    entry of column j-1 not exceeding it.  The columns are held as the
-    forward state holds them, in runs of equal columns searched by bisection
-    (``_ColumnRuns.pull``), so the word costs time linear in its length.
-    For the hook and strict kinds no reverse procedure is provided; their
-    bijectivity is certified by exhaustive forward testing instead.
+    Each step removes the box recorded last, read from the cells of Q's
+    ``ShapeChain``, and walks it back through the columns: the entry bumped
+    out of column j was placed there by the largest entry of column j-1 not
+    exceeding it.  The columns are held as the forward state holds them, in
+    runs of equal columns searched by bisection (``_ColumnRuns.pull``), so
+    the word costs time linear in its length.  For the hook and strict kinds
+    no reverse procedure is provided; their bijectivity is certified by
+    exhaustive forward testing instead.
 
-    Raises InvalidInputError unless P is a valid tableau of the kind and Q is
-    a chain of valid shapes growing from the empty shape one box at a time.
+    Raises InvalidInputError unless P is a valid tableau of the kind and Q
+    grows from the empty shape to a valid shape (every shape of its chain
+    is then valid).
     """
     if kind.kind != EMPTY:
         raise InvalidInputError("reverse bumping is implemented for the empty kind only")
     state = _tableau_state(pair.p) if pair.p.kind == kind else None
     if state is None:
         raise InvalidInputError(f"P is not a valid {kind.describe()} tableau")
-    if pair.q.inner:
-        raise InvalidInputError("the recording tableau must start from the empty shape")
-    cells = []
-    small: Shape = ()
-    for large in pair.q.chain:
-        if not is_valid_shape(kind, large):
-            raise InvalidInputError(f"recording chain shape {large} is not a valid shape")
-        cells.append(_added_cell(small, large))
-        small = large
-    letters = [state.pull(row, col) for row, col in reversed(cells)]
+    _check_recording(kind, pair.q)
+    letters = [state.pull(row, col) for row, col in reversed(list(pair.q.chain._cells()))]
     letters.reverse()
     return tuple(letters)
+
+
+def _check_recording(kind: AlgebraKind, q: StandardTableau) -> None:
+    """Refuse a skew Q, or one whose shape is not valid for the kind."""
+    if q.inner:
+        raise InvalidInputError("the recording tableau must start from the empty shape")
+    if not is_valid_shape(kind, q.shape):
+        raise InvalidInputError(f"recording chain shape {q.shape} is not a valid shape")
 
 
 def words_with_recording(
@@ -168,6 +168,7 @@ def words_with_recording(
     budget: int = DEFAULT_BOX_BUDGET,
 ) -> list[Word]:
     """All words whose recording tableau equals ``tab``, by exhaustive filter."""
+    _check_recording(kind, tab)
     length = tab.size
     if length > budget:
         raise BudgetExceededError(

@@ -256,7 +256,7 @@ def predecessors(kind: AlgebraKind, shape: Sequence[int]) -> list[Shape]:
 # Semigroups
 # ---------------------------------------------------------------------------
 
-def in_semigroup(kind, x: Sequence, interior: bool = False) -> bool:
+def in_semigroup(kind, x: Sequence) -> bool:
     """Membership of a rational vector in the kind's semigroup C.
 
     Closed conditions:
@@ -264,30 +264,17 @@ def in_semigroup(kind, x: Sequence, interior: bool = False) -> bool:
       strict: additionally all nonzero coordinates distinct;
       hook:   both blocks weakly decreasing and nonnegative, and x_i = 0 for
               every unbarred index i exceeding the last barred coordinate.
-
-    With ``interior=True``, strict inequalities; for hook the last barred
-    coordinate must additionally exceed n (which makes the zero condition
-    vacuous).
     """
     v = tuple(x)
     if len(v) != kind.N:
         raise InvalidInputError(f"vector has length {len(v)}, expected {kind.N}")
     if kind.kind == HOOK:
         barred, unbarred = v[: kind.m], v[kind.m:]
-        if interior:
-            return (
-                all(a > b for a, b in zip(barred, barred[1:]))
-                and barred[-1] > kind.n
-                and all(a > b for a, b in zip(unbarred, unbarred[1:]))
-                and unbarred[-1] > 0
-            )
         if not all(a >= b for a, b in zip(barred, barred[1:])) or barred[-1] < 0:
             return False
         if not all(a >= b for a, b in zip(unbarred, unbarred[1:])) or unbarred[-1] < 0:
             return False
         return all(unbarred[i] == 0 for i in range(kind.n) if i + 1 > barred[-1])
-    if interior:
-        return all(a > b for a, b in zip(v, v[1:])) and v[-1] > 0
     if not all(a >= b for a, b in zip(v, v[1:])) or v[-1] < 0:
         return False
     if kind.kind == STRICT:

@@ -281,7 +281,7 @@ def lr_enumerate(
     lam = check_shape(kind, lam)
     kappa = check_shape(kind, kappa)
     mu = check_shape(kind, mu)
-    if not contains(kind, lam, kappa):
+    if len(kappa) > len(lam) or any(k > l for k, l in zip(kappa, lam)):
         raise InvalidInputError(f"{kappa} is not contained in {lam}")
     if shape_size(mu) != shape_size(lam) - shape_size(kappa):
         raise InvalidInputError("content size must match the skew size")

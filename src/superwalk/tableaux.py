@@ -1,4 +1,5 @@
-"""Semistandard tableaux for the three kinds, plus standard shape chains.
+"""Semistandard tableaux for the three kinds, plus standard tableaux, each
+held as a ``ShapeChain`` of π-coordinates (a tuple of shapes is converted).
 
 A tableau is stored as its rows (tuples of letters).  For the strict kind the
 rows live on the shifted diagram, but the shift only affects drawings.
@@ -27,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, islice
-from operator import eq
+from operator import eq, le
 
 from .errors import BudgetExceededError, InvalidInputError
 from .kinds import (
@@ -37,14 +38,14 @@ from .kinds import (
     Shape,
     Weight,
     Word,
+    _steps,
     check_shape,
     check_word,
-    contains,
     is_valid_shape,
     normalize_shape,
+    pi_weight,
     shape_from_weight,
     shape_size,
-    successors,
     weight_of,
 )
 
@@ -459,23 +460,27 @@ def _enumerate_strict(kind, lam, counter) -> list[tuple[tuple[int, ...], ...]]:
 # ---------------------------------------------------------------------------
 
 class ShapeChain(Sequence):
-    """A one-box chain of shapes from the empty shape, held as the
-    coordinate of ``kinds.pi_weight`` each box raises: its row for the empty
-    and strict kinds and for hook rows below ``m``, and ``m`` plus its column
-    for hook rows from ``m`` on.  For a word it is the recording tableau in
+    """A one-box chain of shapes from ``inner``, held as the coordinate of
+    ``kinds.pi_weight`` each box raises: its row for the empty and strict
+    kinds and for hook rows below ``m``, and ``m`` plus its column for hook
+    rows from ``m`` on.  For a word it is the recording tableau in
     π-coordinates.  Iteration, and ``StandardTableau.to_rows``, replay the
     coordinates on one list of row lengths, which gives each box's cell;
     ``len``, ``[-1]`` (``last``, computed unless given) and prefix slices
-    replay nothing.  It equals and hashes as the tuple of its shapes.
+    replay nothing.  It equals and hashes as the tuple of its shapes, and
+    equals another chain only when their ``inner`` shapes agree.
     """
 
-    __slots__ = ("kind", "coords", "_last", "_hash")
+    __slots__ = ("kind", "coords", "inner", "_last", "_hash")
 
-    def __init__(self, kind: AlgebraKind, coords: Sequence[int], last: Shape | None = None):
+    def __init__(self, kind: AlgebraKind, coords: Sequence[int], last: Shape | None = None,
+                 inner: Shape = ()):
         self.kind = kind
         self.coords = bytes(coords) if kind.N <= 256 else tuple(coords)
+        self.inner = inner
         if last is None:
-            last = shape_from_weight(kind, [self.coords.count(i) for i in range(kind.N)])
+            base = pi_weight(kind, inner) if inner else (0,) * kind.N
+            last = shape_from_weight(kind, [b + self.coords.count(i) for i, b in enumerate(base)])
         self._last = last
         self._hash = None
 
@@ -485,10 +490,10 @@ class ShapeChain(Sequence):
     def _cells(self) -> Iterator[tuple[int, int]]:
         """Each box's (row, column), in the order the chain adds them."""
         # from row m on, column c < n fills rows m, m + 1, ... in turn: the
-        # k-th box raising coordinate m + c lands in row m + k - 1
+        # box raising coordinate m + c to k lands in row m + k - 1
         m = self.kind.m if self.kind.kind == HOOK else self.kind.N
-        seen = [0] * self.kind.N
-        rows: list[int] = []
+        seen = list(pi_weight(self.kind, self.inner)) if self.inner else [0] * self.kind.N
+        rows = list(self.inner)
         for c in self.coords:
             if c < m:
                 r = c
@@ -501,7 +506,7 @@ class ShapeChain(Sequence):
             rows[r] += 1
 
     def __iter__(self) -> Iterator[Shape]:
-        rows: list[int] = []
+        rows = list(self.inner)
         for r, c in self._cells():
             if c:
                 rows[r] = c + 1
@@ -512,17 +517,20 @@ class ShapeChain(Sequence):
     def __getitem__(self, key):
         if isinstance(key, slice):
             if key.start in (None, 0) and key.step in (None, 1):
-                return ShapeChain(self.kind, self.coords[key])
+                return ShapeChain(self.kind, self.coords[key], inner=self.inner)
             return tuple(self)[key]
         k = range(len(self.coords))[key]
         return self._last if k == len(self.coords) - 1 else next(islice(self, k, None))
 
     def __eq__(self, other):
-        if isinstance(other, ShapeChain) and other.kind == self.kind:
-            return self.coords == other.coords
-        if isinstance(other, (ShapeChain, tuple)):
-            return len(self) == len(other) and all(map(eq, self, other))
-        return NotImplemented
+        if type(other) is ShapeChain:
+            if self.inner != other.inner:
+                return False
+            if other.kind == self.kind:
+                return self.coords == other.coords
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -530,31 +538,45 @@ class ShapeChain(Sequence):
         return self._hash
 
     def __repr__(self) -> str:
-        return f"ShapeChain({self.kind!r}, {list(self.coords)!r})"
+        inner = f", inner={self.inner!r}" if self.inner else ""
+        return f"ShapeChain({self.kind!r}, {list(self.coords)!r}{inner})"
+
+
+def _row_chain(shapes: Sequence[Shape], inner: Shape) -> ShapeChain:
+    """``shapes`` from ``inner`` as a ``ShapeChain`` of row coordinates (an
+    empty kind of one letter per row), refused unless each step adds one box
+    to a partition."""
+    kind = AlgebraKind.empty(max(len(inner), *map(len, shapes[-1:]), 1))
+    inner = check_shape(kind, inner)
+    rows, coords = list(inner), []
+    for prev, shape in zip((inner, *shapes), shapes):
+        r = next((i for i, (a, b) in enumerate(zip(rows, shape)) if a != b), len(rows))
+        if r == len(rows):
+            rows.append(0)
+        rows[r] += 1
+        if rows != list(shape) or (r and rows[r - 1] < rows[r]):
+            raise InvalidInputError(f"{shape} does not cover {prev}")
+        coords.append(r)
+    return ShapeChain(kind, coords, tuple(rows), inner)
 
 
 @dataclass(frozen=True)
 class StandardTableau:
     """A chain of shapes, each adding one box to the previous.
 
-    ``chain`` lists the shapes after each added box (a ``ShapeChain`` for
-    the recording tableau of a word, else a tuple, equal when the shapes
-    are); ``inner`` is the base shape the chain grows from (empty for
-    straight standard tableaux).  Construction refuses a ``ShapeChain``
-    with a non-empty ``inner`` (it grows from the empty shape) and a tuple
-    chain whose steps do not each add one box, starting from ``inner``.
+    ``chain`` is a ``ShapeChain`` growing from ``inner`` (empty for straight
+    standard tableaux).  Any other sequence of shapes is converted into one
+    once, here, and refused unless each step adds one box to a partition.
     """
 
     chain: Sequence[Shape]
     inner: Shape = field(default=())
 
     def __post_init__(self):
-        if isinstance(self.chain, ShapeChain):
-            if self.inner:
-                raise InvalidInputError(f"a ShapeChain grows from (), not from {self.inner}")
-            return
-        for prev, cur in zip((self.inner, *self.chain), self.chain):
-            _added_cell(prev, cur)
+        if type(self.chain) is not ShapeChain:
+            object.__setattr__(self, "chain", _row_chain(tuple(self.chain), self.inner))
+        if self.chain.inner != tuple(self.inner):
+            raise InvalidInputError(f"the chain grows from {self.chain.inner}, not from {self.inner}")
 
     @property
     def size(self) -> int:
@@ -567,11 +589,7 @@ class StandardTableau:
     def to_rows(self) -> tuple[tuple[int, ...], ...]:
         """Filling of the outer diagram by 1..size; inner cells hold 0."""
         rows = [[0] * length for length in self.shape]
-        if isinstance(self.chain, ShapeChain):
-            cells = self.chain._cells()
-        else:
-            cells = map(_added_cell, (self.inner, *self.chain), self.chain)
-        for k, (r, c) in enumerate(cells, start=1):
+        for k, (r, c) in enumerate(self.chain._cells(), start=1):
             rows[r][c] = k
         return tuple([tuple(r) for r in rows])
 
@@ -583,40 +601,29 @@ class StandardTableau:
         }
 
 
-def _added_cell(prev: Shape, cur: Shape) -> tuple[int, int]:
-    size = max(len(prev), len(cur))
-    a = tuple(prev) + (0,) * (size - len(prev))
-    b = tuple(cur) + (0,) * (size - len(cur))
-    for r in range(size):
-        if b[r] != a[r]:
-            if b[r] != a[r] + 1 or b[r + 1:] != a[r + 1:]:
-                raise InvalidInputError(f"{cur} does not cover {prev}")
-            return r, a[r]
-    raise InvalidInputError(f"{cur} does not cover {prev}")
-
-
 def enumerate_standard(
     kind: AlgebraKind,
     outer: Sequence[int],
     inner: Sequence[int] = (),
 ) -> list[StandardTableau]:
-    """All one-box chains from inner to outer through valid shapes of the kind."""
+    """All one-box chains from inner to outer through valid shapes of the
+    kind, walked in π-weights by ``kinds._steps`` below π(outer)."""
     outer = check_shape(kind, outer)
     inner = check_shape(kind, inner)
-    if not contains(kind, outer, inner):
-        return []
+    top, base = pi_weight(kind, outer), pi_weight(kind, inner)
     out: list[StandardTableau] = []
-    chain: list[Shape] = []
+    coords: list[int] = []
 
-    def rec(cur: Shape):
-        if cur == outer:
-            out.append(StandardTableau(tuple(chain), inner))
+    def rec(weight):
+        if weight == top:
+            out.append(StandardTableau(ShapeChain(kind, coords, outer, inner), inner))
             return
-        for nxt in successors(kind, cur):
-            if contains(kind, outer, nxt):
-                chain.append(nxt)
+        for i, nxt in _steps(kind, weight):
+            if nxt[i] <= top[i]:
+                coords.append(i)
                 rec(nxt)
-                chain.pop()
+                coords.pop()
 
-    rec(inner)
+    if all(map(le, base, top)):
+        rec(base)
     return out

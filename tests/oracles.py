@@ -7,7 +7,15 @@ from typing import Sequence
 from superwalk import multiplicities
 from superwalk.characters import SparseCharacter, _power
 from superwalk.errors import InvalidInputError
-from superwalk.kinds import AlgebraKind, check_shape, check_word, contains, pi_weight, shape_size
+from superwalk.kinds import (
+    AlgebraKind,
+    check_shape,
+    check_word,
+    contains,
+    pi_weight,
+    shape_size,
+    successors,
+)
 from superwalk.multiplicities import (
     LrTableau,
     f_count,
@@ -28,6 +36,50 @@ def added_coordinate(kind: AlgebraKind, small: Sequence[int], large: Sequence[in
     if len(diffs) != 1 or b[diffs[0]] - a[diffs[0]] != 1:
         raise InvalidInputError(f"{tuple(large)} does not cover {tuple(small)}")
     return diffs[0]
+
+
+# Standard tableaux as they were before every chain became a ShapeChain:
+# tuples of shapes, each step found by comparing a shape with the one before.
+
+def added_cell(prev: Sequence[int], cur: Sequence[int]) -> tuple[int, int]:
+    """The (row, column) of the box ``cur`` adds to ``prev``; raises unless
+    the two differ by exactly that box."""
+    size = max(len(prev), len(cur))
+    a = tuple(prev) + (0,) * (size - len(prev))
+    b = tuple(cur) + (0,) * (size - len(cur))
+    for r in range(size):
+        if b[r] != a[r]:
+            if b[r] != a[r] + 1 or b[r + 1:] != a[r + 1:]:
+                raise InvalidInputError(f"{cur} does not cover {prev}")
+            return r, a[r]
+    raise InvalidInputError(f"{cur} does not cover {prev}")
+
+
+def enumerate_standard_by_shapes(kind: AlgebraKind, outer, inner=()) -> list[tuple]:
+    """Every one-box chain from inner to outer as a tuple of shapes, each
+    step a shape of ``successors`` that outer still contains (found once
+    per shape, since many chains pass through it)."""
+    outer = check_shape(kind, outer)
+    inner = check_shape(kind, inner)
+    if not contains(kind, outer, inner):
+        return []
+    out: list[tuple] = []
+    chain: list = []
+    steps: dict = {}
+
+    def rec(cur):
+        if cur == outer:
+            out.append(tuple(chain))
+            return
+        if cur not in steps:
+            steps[cur] = [nxt for nxt in successors(kind, cur) if contains(kind, outer, nxt)]
+        for nxt in steps[cur]:
+            chain.append(nxt)
+            rec(nxt)
+            chain.pop()
+
+    rec(inner)
+    return out
 
 
 def insertion_trace(kind: AlgebraKind, word: Sequence[int]) -> list[Tableau]:

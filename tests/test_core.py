@@ -336,17 +336,6 @@ def test_in_semigroup_examples():
         in_semigroup(ke3, (1, 2))
 
 
-def test_in_semigroup_interior():
-    ke3 = AlgebraKind.empty(3)
-    assert in_semigroup(ke3, (3, 2, 1), interior=True)
-    assert not in_semigroup(ke3, (3, 2, 2), interior=True)
-    assert not in_semigroup(ke3, (3, 2, 0), interior=True)
-    # hook interior requires the last barred coordinate to exceed n
-    assert in_semigroup(KH22, (7, 3, 2, 1), interior=True)
-    assert not in_semigroup(KH22, (7, 2, 2, 1), interior=True)
-    assert in_semigroup(KH22, (Fraction(9, 2), Fraction(5, 2), 2, 1), interior=True)
-
-
 def test_integer_points_are_shapes():
     for kind in (AlgebraKind.empty(2), AlgebraKind.strict(2), AlgebraKind.hook(1, 1)):
         for point in product(range(7), repeat=kind.N):

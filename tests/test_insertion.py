@@ -32,7 +32,6 @@ from superwalk.multiplicities import shapes_of_size
 from superwalk.tableaux import (
     ShapeChain,
     StandardTableau,
-    _added_cell,
     _state,
     _tableau_state,
     enumerate_standard,
@@ -42,7 +41,7 @@ from superwalk.tableaux import (
     reading,
 )
 
-from oracles import insertion_trace
+from oracles import added_cell, insertion_trace
 
 # ---------------------------------------------------------------------------
 # Per-letter oracle: column and hook-word row insertion on frozen rows
@@ -496,6 +495,22 @@ def test_rsk_inverse_roundtrip_length_5000(n):
     assert rsk_inverse(ke, rsk(ke, word)) == word
 
 
+def test_rsk_inverse_reads_recording_tableau_rebuilt_from_shapes():
+    # Q rebuilt from its tuple of shapes holds row coordinates, not the
+    # recorded chain, and gives the same cells
+    import random
+
+    ke = AlgebraKind.empty(3)
+    rng = random.Random(5)
+    words = list(product(ke.alphabet, repeat=5))
+    words.append(tuple(rng.choice(ke.alphabet) for _ in range(1000)))
+    for word in words:
+        pair = rsk(ke, word)
+        rebuilt = RskPair(pair.p, StandardTableau(tuple(pair.q.chain)))
+        assert rebuilt == pair and hash(rebuilt.q) == hash(pair.q)
+        assert rsk_inverse(ke, rebuilt) == word
+
+
 def test_reverse_bump_keeps_column_runs_merged():
     # the reverse bump walks runs of equal columns, so it stays linear only
     # while neighbouring runs never hold equal columns
@@ -508,7 +523,7 @@ def test_reverse_bump_keeps_column_runs_merged():
     state = _tableau_state(pair.p)
     chain = ((),) + tuple(pair.q.chain)
     for left, (small, large) in enumerate(reversed(list(zip(chain, chain[1:])))):
-        state.pull(*_added_cell(small, large))
+        state.pull(*added_cell(small, large))
         runs = state.runs
         assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
         assert sum(len(col) * count for col, count in runs) == len(word) - left - 1
@@ -605,6 +620,19 @@ def test_words_with_recording():
             images = {p_tableau(kind, w).rows for w in fiber}
             assert len(images) == len(fiber)
             assert images == {t.rows for t in enumerate_tableaux(kind, (2, 1))}
+
+
+def test_words_with_recording_refuses_what_rsk_inverse_refuses():
+    # a skew chain, and a shape gl(3) does not have, are recorded by no word
+    ke3 = AlgebraKind.empty(3)
+    skew = StandardTableau(((2,), (2, 1)), inner=(1,))
+    column = StandardTableau(((1,), (1, 1), (1, 1, 1), (1, 1, 1, 1)))
+    with pytest.raises(InvalidInputError, match="empty shape"):
+        words_with_recording(ke3, skew)
+    with pytest.raises(InvalidInputError, match="not a valid shape"):
+        words_with_recording(ke3, column)
+    with pytest.raises(InvalidInputError, match="empty shape"):
+        rsk_inverse(ke3, RskPair(Tableau(ke3, ((1, 1), (2,))), skew))
 
 
 def test_fiber_generating_series_equals_character():

@@ -279,6 +279,13 @@ def test_lr_trivial_cases():
         lr_enumerate(KH22, (2, 1), (1,), (1,))  # size mismatch
 
 
+def test_lr_refuses_kappa_outside_lambda():
+    # kappa longer than lam, and kappa wider than lam
+    for lam, kappa, mu in [((3,), (1, 1), (1,)), ((2, 1), (3,), ())]:
+        with pytest.raises(InvalidInputError, match="is not contained in"):
+            lr_enumerate(KH22, lam, kappa, mu)
+
+
 def test_lr_agrees_with_decomposition():
     for lam in shapes_up_to(KH22, 8):
         for kappa in shapes_up_to(KH22, sum(lam)):

@@ -7,9 +7,11 @@ the empty and hook kinds and GHSKM maximality through
 maximality, stay here as the oracles it is tested against, and so does the
 recursive generator of hook words, which the library now builds from their
 two parts.  So does the ``to_rows`` loop that finds each box by comparing
-consecutive shapes, which a word's recording tableau now replaces by
-replaying its chain's coordinates.  ``standard_from_rows``, which rebuilds a
-chain from its filling and has no caller in the library, lives here too.
+consecutive shapes (``added_cell``, in ``oracles``), which every standard
+tableau now replaces by replaying its chain's coordinates, and the walk
+through shapes that ``enumerate_standard`` made before it walked
+π-weights.  ``standard_from_rows``, which rebuilds a chain from its filling
+and has no caller in the library, lives here too.
 """
 
 from itertools import combinations, product
@@ -31,16 +33,17 @@ from superwalk import (
     reading,
     weight_of,
 )
-from superwalk.kinds import check_shape
+from superwalk.kinds import check_shape, successors
 from superwalk.multiplicities import shapes_of_size
 from superwalk.tableaux import (
     ShapeChain,
     StandardTableau,
-    _added_cell,
     _may_follow,
     hook_decompose,
     iter_hook_words,
 )
+
+from oracles import added_coordinate, added_cell, enumerate_standard_by_shapes
 
 KE = AlgebraKind.empty(4)
 KH = AlgebraKind.hook(2, 3)
@@ -398,7 +401,7 @@ def _rows_by_shape_comparison(tab):
     rows = [[0] * length for length in tab.shape]
     prev = tab.inner
     for k, cur in enumerate(tab.chain, start=1):
-        r, c = _added_cell(prev, cur)
+        r, c = added_cell(prev, cur)
         rows[r][c] = k
         prev = cur
     return tuple([tuple(r) for r in rows])
@@ -422,6 +425,59 @@ def test_recording_rows_match_shape_comparison(kind, data):
     assert StandardTableau(tuple(tab.chain)).to_rows() == expect
 
 
+CHAIN_KINDS = [AlgebraKind.empty(3), AlgebraKind.hook(2, 2), AlgebraKind.hook(1, 3),
+               AlgebraKind.strict(4)]
+
+
+@pytest.mark.parametrize("kind", CHAIN_KINDS, ids=lambda k: k.describe())
+def test_enumerate_standard_matches_shape_route(kind):
+    # every straight and skew pair of at most 8 boxes: the walk in
+    # π-weights lists the chains of the walk through shapes, in its order
+    shapes = [lam for size in range(9) for lam in shapes_of_size(kind, size)]
+    for outer in shapes:
+        for inner in shapes:
+            got = enumerate_standard(kind, outer, inner)
+            assert [q.chain for q in got] == enumerate_standard_by_shapes(kind, outer, inner)
+            assert all(q.inner == inner and q.chain.inner == inner for q in got)
+
+
+@pytest.mark.parametrize("kind", CHAIN_KINDS, ids=lambda k: k.describe())
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_skew_shape_chain_matches_tuple_chain(kind, data):
+    # a chain from inner replays, fills, compares, hashes, indexes and
+    # slices as the tuple of its shapes
+    inner = data.draw(st.sampled_from([lam for size in range(7) for lam in shapes_of_size(kind, size)]))
+    shapes = []
+    for _ in range(data.draw(st.integers(0, 12))):
+        shapes.append(data.draw(st.sampled_from(successors(kind, shapes[-1] if shapes else inner))))
+    expect = tuple(shapes)
+    coords = [added_coordinate(kind, a, b) for a, b in zip((inner,) + expect, expect)]
+    chain = ShapeChain(kind, coords, inner=inner)
+    assert tuple(chain) == expect and chain == expect and expect == chain
+    assert hash(chain) == hash(expect) and len(chain) == len(expect)
+    if expect:
+        assert chain[-1] == expect[-1]
+    k = data.draw(st.integers(0, len(expect)))
+    assert chain[:k] == expect[:k] and hash(chain[:k]) == hash(expect[:k])
+    assert chain[:k] == ShapeChain(kind, coords[:k], inner=inner)
+    assert chain[:k].inner == inner
+    tab, rebuilt = StandardTableau(chain, inner), StandardTableau(expect, inner)
+    assert tab.to_rows() == _rows_by_shape_comparison(rebuilt) == rebuilt.to_rows()
+    assert tab == rebuilt and hash(tab) == hash(rebuilt) and tab.shape == rebuilt.shape
+
+
+def test_shape_chains_from_different_inner_shapes_differ():
+    # both chains are the one shape (2, 1), grown from (2) and from (1, 1)
+    ke3 = AlgebraKind.empty(3)
+    from_row, from_column = ShapeChain(ke3, [1], inner=(2,)), ShapeChain(ke3, [0], inner=(1, 1))
+    assert from_row == ((2, 1),) == from_column
+    assert from_row != from_column
+    assert ShapeChain(ke3, [], inner=(2,)) != ShapeChain(ke3, [], inner=(1, 1))
+    assert StandardTableau(((2, 1),), (2,)) == StandardTableau(from_row, (2,))
+    assert StandardTableau(((2, 1),), (2,)) != StandardTableau(((2, 1),), (1, 1))
+
+
 def test_standard_tableau_fields():
     t = StandardTableau(((1,), (2,)))
     assert t.size == 2
@@ -430,9 +486,11 @@ def test_standard_tableau_fields():
     # a word's chain starts from the empty shape, so no inner shape fits it
     with pytest.raises(InvalidInputError):
         StandardTableau(q_tableau(KE, (1, 2, 1)).chain, inner=(1,))
-    # each step of a tuple chain must add one box to the shape before it
+    # each step of a tuple chain must add one box to the shape before it,
+    # and give a partition: (1, 2) adds one box to (1, 1) but is none
     assert StandardTableau(((2,), (2, 1)), inner=(1,)).to_rows() == ((0, 1), (2,))
     for chain, inner in [(((1,), (1,), (2,)), ()), (((1,), (1, 1), (2,)), ()),
-                         (((2, 1), (2, 2)), (1,)), (((3,),), (1,))]:
+                         (((2, 1), (2, 2)), (1,)), (((3,),), (1,)),
+                         (((1,), (1, 1), (1, 2)), ()), (((2, 2),), (1, 2))]:
         with pytest.raises(InvalidInputError):
             StandardTableau(chain, inner)
