@@ -36,13 +36,15 @@ from .kinds import (
     HOOK,
     STRICT,
     AlgebraKind,
+    _levels,
+    _pi,
     format_rational,
     format_word,
     parse_shape,
     parse_word,
     shape_to_json,
 )
-from .markov import _stay_levels, stay_probability
+from .markov import stay_probability
 from .multiplicities import decompose_product, lr_count
 from .simulate import (
     RngStream,
@@ -237,8 +239,8 @@ def cmd_exit_prob(args) -> int:
     p = ProbVector.parse(kind, args.p)
     closed = stay_probability(kind, shape, p, budget=args.budget)
     rows = []
-    # row r is level r of one pass of the stay DP
-    levels = islice(_stay_levels(kind, shape, p), 1, args.horizon + 1)
+    # row r is level r of one pass of the graded walk, weighted by p
+    levels = islice(_levels(kind, _pi(kind, shape), p.values), 1, args.horizon + 1)
     for horizon, level in enumerate(levels, 1):
         truncated = sum(level.values(), Fraction(0))
         gap = truncated - closed

@@ -18,6 +18,12 @@ counts occupy the first ``m`` coordinates, written
 
 Shapes are plain tuples of weakly decreasing nonnegative integers with
 trailing zeros stripped; equality and hashing therefore never see padding.
+
+Pi-weights of shapes are the points of the kind's semigroup C.  Its rule is
+one local test per coordinate (``_holds``), a one-box move runs only those it
+can break (``_steps``), and one walk of such moves (``_levels``) gives chain
+counts and stay masses.  Public functions check once; the cores ``_pi`` and
+``_shape`` check nothing.
 """
 
 from __future__ import annotations
@@ -190,10 +196,8 @@ def hook_split(kind: AlgebraKind, shape: Sequence[int]) -> tuple[Shape, Shape]:
     """Split a hook partition into its first-m-rows part and the conjugated rest."""
     if kind.kind != HOOK:
         raise InvalidInputError("hook_split is defined for the hook kind only")
-    lam = check_shape(kind, shape)
-    first = normalize_shape(lam[: kind.m])
-    rest = conjugate(lam[kind.m:])
-    return first, rest
+    w = _pi(kind, check_shape(kind, shape))
+    return normalize_shape(w[: kind.m]), normalize_shape(w[kind.m:])
 
 
 def pi_weight(kind: AlgebraKind, shape: Sequence[int]) -> Weight:
@@ -203,11 +207,7 @@ def pi_weight(kind: AlgebraKind, shape: Sequence[int]) -> Weight:
     carries the m longest rows and the unbarred block the conjugate of the
     remainder.
     """
-    lam = check_shape(kind, shape)
-    if kind.kind == HOOK:
-        first, rest = hook_split(kind, lam)
-        return first + (0,) * (kind.m - len(first)) + rest + (0,) * (kind.n - len(rest))
-    return lam + (0,) * (kind.n - len(lam))
+    return _pi(kind, check_shape(kind, shape))
 
 
 def shape_from_weight(kind: AlgebraKind, weight: Sequence[int]) -> Shape:
@@ -217,10 +217,22 @@ def shape_from_weight(kind: AlgebraKind, weight: Sequence[int]) -> Shape:
         raise InvalidInputError(f"weight has length {len(w)}, expected {kind.N}")
     if not in_semigroup(kind, w):
         raise InvalidInputError(f"{w} is not a dominant {kind.describe()} weight")
+    return _shape(kind, w)
+
+
+def _pi(kind: AlgebraKind, lam: Shape) -> Weight:
+    """:func:`pi_weight` of a shape already checked and normalized."""
+    if kind.kind == HOOK:
+        first, rest = lam[: kind.m], conjugate(lam[kind.m:])
+        return first + (0,) * (kind.m - len(first)) + rest + (0,) * (kind.n - len(rest))
+    return lam + (0,) * (kind.n - len(lam))
+
+
+def _shape(kind: AlgebraKind, w: Weight) -> Shape:
+    """:func:`shape_from_weight` of a point already known to lie in C."""
     if kind.kind != HOOK:
         return normalize_shape(w)
-    barred, unbarred = w[: kind.m], w[kind.m:]
-    return normalize_shape(tuple(barred) + conjugate(unbarred))
+    return normalize_shape(w[: kind.m] + conjugate(w[kind.m:]))
 
 
 def contains(kind: AlgebraKind, outer: Sequence[int], inner: Sequence[int]) -> bool:
@@ -229,37 +241,44 @@ def contains(kind: AlgebraKind, outer: Sequence[int], inner: Sequence[int]) -> b
     return all(x >= y for x, y in zip(a, b))
 
 
-def _steps(kind: AlgebraKind, base: Weight, step: int = 1) -> Iterator[tuple[int, Weight]]:
-    """``(i, base + step * e_i)`` for each coordinate i whose move stays in
-    the semigroup, in coordinate order."""
-    for i in range(kind.N):
-        cand = base[:i] + (base[i] + step,) + base[i + 1:]
-        if in_semigroup(kind, cand):
-            yield i, cand
-
-
 def successors(kind: AlgebraKind, shape: Sequence[int]) -> list[Shape]:
     """All valid shapes obtained by adding one box, in pi-coordinate order.
 
     Coordinate order means barred rows come before unbarred columns for the
     hook kind; for empty/strict it is the row index of the added box.
     """
-    return [shape_from_weight(kind, w) for _, w in _steps(kind, pi_weight(kind, shape))]
+    return [_shape(kind, w) for _, w in _steps(kind, pi_weight(kind, shape))]
 
 
 def predecessors(kind: AlgebraKind, shape: Sequence[int]) -> list[Shape]:
     """All valid shapes obtained by removing one box, in pi-coordinate order."""
-    return [shape_from_weight(kind, w) for _, w in _steps(kind, pi_weight(kind, shape), -1)]
+    return [_shape(kind, w) for _, w in _steps(kind, pi_weight(kind, shape), -1)]
 
 
 # ---------------------------------------------------------------------------
-# Semigroups
+# Semigroups and the graded walk
 # ---------------------------------------------------------------------------
+
+def _holds(kind: AlgebraKind, v: Sequence, i: int) -> bool:
+    """The local tests of C at coordinate i of v: v_i is ordered against its
+    left neighbour in its block (strictly for q(n) while nonzero), is
+    nonnegative if it ends its block, and for gl(m,n), as the unbarred
+    coordinate m+j, is nonzero only if j + 1 <= v_(m-1) (j < v_(m-1) on
+    integer points)."""
+    x, m = v[i], kind.m
+    if i and i != m:
+        left = v[i - 1]
+        if left < x or left == x != 0 and kind.kind == STRICT:
+            return False
+    if x < 0 and (i == m - 1 or i == kind.N - 1):
+        return False
+    return x == 0 or i < m or not m or i - m + 1 <= v[m - 1]
+
 
 def in_semigroup(kind, x: Sequence) -> bool:
     """Membership of a rational vector in the kind's semigroup C.
 
-    Closed conditions:
+    Closed conditions, the local tests of all coordinates:
       empty:  x_1 >= ... >= x_n >= 0;
       strict: additionally all nonzero coordinates distinct;
       hook:   both blocks weakly decreasing and nonnegative, and x_i = 0 for
@@ -268,18 +287,44 @@ def in_semigroup(kind, x: Sequence) -> bool:
     v = tuple(x)
     if len(v) != kind.N:
         raise InvalidInputError(f"vector has length {len(v)}, expected {kind.N}")
-    if kind.kind == HOOK:
-        barred, unbarred = v[: kind.m], v[kind.m:]
-        if not all(a >= b for a, b in zip(barred, barred[1:])) or barred[-1] < 0:
-            return False
-        if not all(a >= b for a, b in zip(unbarred, unbarred[1:])) or unbarred[-1] < 0:
-            return False
-        return all(unbarred[i] == 0 for i in range(kind.n) if i + 1 > barred[-1])
-    if not all(a >= b for a, b in zip(v, v[1:])) or v[-1] < 0:
-        return False
-    if kind.kind == STRICT:
-        return all(a != b for a, b in zip(v, v[1:]) if a != 0)
-    return True
+    return all(_holds(kind, v, i) for i in range(kind.N))
+
+
+def _steps(kind: AlgebraKind, base: Weight, step: int = 1) -> Iterator[tuple[int, Weight]]:
+    """``(i, base + step * e_i)`` for each coordinate i whose move keeps
+    ``base``, a point of C, in C, in coordinate order.
+
+    Raising v_i can break only the tests at i.  Lowering it can break its
+    sign, the order of v_(i+1) against it and, for gl(m,n) lowering
+    v_(m-1) to b, the test at m+b, which then asks for a zero.
+    """
+    m = kind.m
+    for i in range(kind.N):
+        cand = base[:i] + (base[i] + step,) + base[i + 1:]
+        if _holds(kind, cand, i) and (step > 0 or (
+            (i + 1 == kind.N or _holds(kind, cand, i + 1))
+            and (i != m - 1 or m + cand[i] >= kind.N or _holds(kind, cand, m + cand[i]))
+        )):
+            yield i, cand
+
+
+def _levels(
+    kind: AlgebraKind, start: Weight, weights: Sequence, bound: Weight | None = None
+) -> Iterator[dict[Weight, object]]:
+    """Graded sums over one-box moves inside C from ``start``: level k maps
+    each pi-weight to the sum, over the k-step chains reaching it with no
+    move past ``bound``, of the product of ``weights[i]`` over the raised
+    coordinates i -- chain counts for weights 1, stay masses for the law p.
+    A level is computed only when the previous one has been read."""
+    level = {start: 1}
+    while True:
+        yield level
+        nxt: dict = {}
+        for w, mass in level.items():
+            for i, cand in _steps(kind, w):
+                if bound is None or cand[i] <= bound[i]:
+                    nxt[cand] = nxt.get(cand, 0) + mass * weights[i]
+        level = nxt
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ that reweights a row, over the walk restricted to the shape lattice: by psi
 (:func:`pi_shape`) and by the truncated stay probability
 (:func:`conditioned_step_kernel`; König, O'Connell and Roch 2002).
 
-The truncated stay probabilities come from one graded DP, written once as
-the generator ``_stay_levels``, whose level r is the mass of the paths that
-stayed for r steps.  :func:`stay_probability_truncated` reads one level;
-``superwalk exit-prob`` reads levels 1 to H of one pass, a table that
-decreases to the closed form psi / nabla as H grows.
+The truncated stay probabilities come from the graded walk ``kinds._levels``
+that the chain counts read too, weighted by the step law: its level r is the
+mass of the paths that stayed for r steps.  :func:`stay_probability_truncated`
+reads one level; ``superwalk exit-prob`` reads levels 1 to H of one pass, a
+table that decreases to the closed form psi / nabla as H grows.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .characters import ProbVector, check_length, nabla, psi, require_condition
 from .errors import ContractViolationError, InvalidInputError
-from .kinds import AlgebraKind, Shape, Weight, _steps, pi_weight, shape_from_weight, sub_weights
+from .kinds import AlgebraKind, Shape, Weight, _levels, _shape, _steps, pi_weight, sub_weights
 from .multiplicities import f_skew
 from .tableaux import DEFAULT_BOX_BUDGET
 
@@ -76,7 +76,7 @@ def pi_restricted(kind: AlgebraKind, p: ProbVector) -> TransitionKernel:
 
     def rows(state: Shape):
         return tuple(
-            (shape_from_weight(kind, w), p.values[i])
+            (_shape(kind, w), p.values[i])
             for i, w in _steps(kind, pi_weight(kind, state))
         )
 
@@ -175,28 +175,8 @@ def stay_probability_truncated(
     if type(horizon) is not int or horizon < 0:
         raise InvalidInputError(f"horizon must be a nonnegative integer, got {horizon!r}")
     check_length(kind, p.values)
-    frontier = next(islice(_stay_levels(kind, lam, p), horizon, None))
-    return sum(frontier.values(), Fraction(0))
-
-
-def _stay_levels(
-    kind: AlgebraKind, lam: Sequence[int], p: ProbVector
-) -> Iterator[dict[Weight, Fraction]]:
-    """The graded stay DP from lam: yields, at horizons 0, 1, 2, ..., the
-    mass of the walk paths that stayed in the shape lattice, by pi-weight.
-
-    Level r sums to the stay probability truncated at r.  A level is
-    computed only when the previous one has been read, so a caller pays for
-    the levels it reads and for none beyond them.
-    """
-    frontier: dict[Weight, Fraction] = {pi_weight(kind, lam): Fraction(1)}
-    while True:
-        yield frontier
-        nxt: dict[Weight, Fraction] = {}
-        for w, mass in frontier.items():
-            for i, cand in _steps(kind, w):
-                nxt[cand] = nxt.get(cand, Fraction(0)) + mass * p.values[i]
-        frontier = nxt
+    level = next(islice(_levels(kind, pi_weight(kind, lam), p.values), horizon, None))
+    return sum(level.values(), Fraction(0))
 
 
 def conditioned_step_kernel(

@@ -1,6 +1,10 @@
 """Multiplicities: chain counts, Kostka numbers, tensor decompositions and
 the hook-kind Littlewood-Richardson rule with its embedding into tableaux.
 
+Straight chain counts f^lam have closed forms (``f_count``); skew counts and
+``shapes_of_size`` read a level of the graded walk ``kinds._levels`` in
+pi-weights, and turn its keys into shapes only where they return shapes.
+
 Tensor product multiplicities have one route: greedy leading-term
 elimination on exact character polynomials, which is exact (see
 ``decompose_product``).  The tests check it against an exact linear system
@@ -14,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .characters import SparseCharacter, character_polynomial
 from .errors import BudgetExceededError, DecompositionError, InvalidInputError
@@ -23,15 +27,15 @@ from .kinds import (
     STRICT,
     AlgebraKind,
     Shape,
+    _levels,
+    _pi,
+    _shape,
     check_shape,
     conjugate,
     contains,
     in_semigroup,
-    pi_weight,
-    shape_from_weight,
     shape_size,
     sub_weights,
-    successors,
 )
 from .tableaux import DEFAULT_BOX_BUDGET, DEFAULT_NODE_BUDGET, Tableau
 
@@ -43,29 +47,13 @@ def chain_counts(
     kind: AlgebraKind, inner: Shape, steps: int, outer: Shape | None = None
 ) -> dict[Shape, int]:
     """Number of ``steps``-step one-box chains from ``inner`` through valid
-    shapes (inside ``outer`` if given), by end shape.  A forward recursion
-    over the levels, not a listing of chains, so drift-scale shapes stay cheap.
+    shapes (inside ``outer`` if given, which contains ``inner``), by end
+    shape.  A level of the walk ``kinds._levels``, not a listing of chains,
+    so drift-scale shapes stay cheap.
     """
-    return next(islice(_chain_levels(kind, inner, outer), steps, None))
-
-
-def _chain_levels(
-    kind: AlgebraKind, inner: Shape, outer: Shape | None = None
-) -> Iterator[dict[Shape, int]]:
-    """The chain-count recursion from ``inner``: yields, at levels 0, 1,
-    2, ..., the number of one-box chains of that many steps through valid
-    shapes (inside ``outer`` if given), by end shape.  A level is computed
-    only when the previous one has been read.
-    """
-    frontier: dict[Shape, int] = {inner: 1}
-    while True:
-        yield frontier
-        nxt: dict[Shape, int] = {}
-        for nu, cnt in frontier.items():
-            for step in successors(kind, nu):
-                if outer is None or contains(kind, outer, step):
-                    nxt[step] = nxt.get(step, 0) + cnt
-        frontier = nxt
+    bound = None if outer is None else _pi(kind, outer)
+    level = next(islice(_levels(kind, _pi(kind, inner), (1,) * kind.N, bound), steps, None))
+    return {_shape(kind, w): count for w, count in level.items()}
 
 
 def f_skew(kind: AlgebraKind, outer: Sequence[int], inner: Sequence[int] = ()) -> int:
@@ -194,7 +182,7 @@ def _decompose_greedy(
                 f"leading weight {top} with coefficient {coeff} is not a highest "
                 f"weight of the product for {kind.describe()}"
             )
-        lam = shape_from_weight(kind, top)
+        lam = _shape(kind, top)
         for w, c in character_polynomial(kind, lam, budget, max_nodes).terms.items():
             if w not in residual:
                 raise DecompositionError(
@@ -386,7 +374,7 @@ def verify_m_le_K(
     kappa = check_shape(kind, kappa)
     mu = check_shape(kind, mu)
     mult = decompose_product(kind, kappa, mu, budget, max_nodes).get(lam, 0)
-    diff = sub_weights(pi_weight(kind, lam), pi_weight(kind, kappa))
+    diff = sub_weights(_pi(kind, lam), _pi(kind, kappa))
     return mult <= kostka(kind, mu, diff, budget=budget)
 
 
@@ -429,13 +417,10 @@ def dec_skew_coefficient_identity(
     lam = check_shape(kind, lam)
     mu = check_shape(kind, mu)
     poly = character_polynomial(kind, mu, budget=budget)
-    target = pi_weight(kind, lam)
+    target = _pi(kind, lam)
     total = 0
     for gamma, mult in poly.terms.items():
         reduced = sub_weights(target, gamma)
-        try:
-            shape = shape_from_weight(kind, reduced)
-        except InvalidInputError:
-            continue
-        total += f_count(kind, shape) * mult
+        if in_semigroup(kind, reduced):
+            total += f_count(kind, _shape(kind, reduced)) * mult
     return total == f_skew(kind, lam, mu)

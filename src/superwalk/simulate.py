@@ -14,6 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import le
 from typing import Sequence
 
 from .characters import ProbVector, check_length, require_condition, schur
@@ -23,15 +24,16 @@ from .kinds import (
     Shape,
     Weight,
     Word,
+    _holds,
+    _levels,
+    _pi,
+    _shape,
     check_shape,
-    contains,
     in_semigroup,
-    pi_weight,
-    shape_from_weight,
     shape_size,
 )
 from .markov import green, pi_shape, stay_probability_truncated
-from .multiplicities import _chain_levels, f_count
+from .multiplicities import f_count
 from .tableaux import DEFAULT_BOX_BUDGET
 
 _BITS = 64
@@ -249,7 +251,7 @@ def _accepted_prefixes(
         for step in range(horizon):
             i = _pick(cum, rng.draw_bits())
             weight[i] += 1
-            if not in_semigroup(kind, weight):
+            if not _holds(kind, weight, i):
                 break
             if step < length:
                 prefix.append(tuple(weight))
@@ -269,7 +271,7 @@ def sample_conditioned_walk(
     """Rejection-sample the walk conditioned to stay in the shape lattice
     up to the horizon; returns the first ``length`` shapes."""
     _, prefix = next(_accepted_prefixes(kind, p, length, horizon, 1, max_attempts, rng))
-    return tuple(shape_from_weight(kind, w) for w in prefix)
+    return tuple(_shape(kind, w) for w in prefix)
 
 
 @dataclass(frozen=True)
@@ -304,7 +306,7 @@ def sample_conditioned_ensemble(
     for attempts, prefix in _accepted_prefixes(kind, p, length, horizon, paths, limit, rng):
         prev: Shape = ()
         for w in prefix:
-            cur = shape_from_weight(kind, w)
+            cur = _shape(kind, w)
             visit_counts[prev] = visit_counts.get(prev, 0) + 1
             key = (prev, cur)
             transition_counts[key] = transition_counts.get(key, 0) + 1
@@ -324,27 +326,21 @@ def sample_conditioned_ensemble(
 def nearest_shape(kind: AlgebraKind, vector: Sequence[Fraction]) -> Shape:
     """Nearest valid lattice shape to a drift multiple.
 
-    Rounds each pi coordinate (ties to even, negatives to 0).  If the
-    semigroup refuses the result, each coordinate in turn, left to right, is
-    lowered until the coordinates so far, followed by zeros, lie in the
-    semigroup.  After such a prefix the values a coordinate may take form an
-    interval [0, cap] for every kind, so this is the minimal repair, and
-    bisection finds each cap.
+    Rounds each pi coordinate (ties to even, negatives to 0), then lowers
+    each coordinate in turn, left to right, until it passes its local test
+    of the semigroup against the coordinates before it.  Those values form
+    an interval [0, cap] for every kind, and a point of the semigroup passes
+    every test, so this is the minimal repair, and bisection finds each cap.
     """
     coords = [max(int(round(Fraction(v))), 0) for v in vector]
     if len(coords) != kind.N:
         raise InvalidInputError(f"vector has length {len(coords)}, expected {kind.N}")
-    try:
-        return shape_from_weight(kind, coords)
-    except InvalidInputError:
-        pass
-    zeros = [0] * kind.N
     for i in range(kind.N):
         def refused(value):
-            return not in_semigroup(kind, coords[:i] + [value] + zeros[i + 1:])
+            return not _holds(kind, coords[:i] + [value], i)
 
         coords[i] = bisect_left(range(coords[i] + 1), True, key=refused) - 1
-    return shape_from_weight(kind, coords)
+    return _shape(kind, tuple(coords))
 
 
 def drift_shape(kind: AlgebraKind, p: ProbVector, scale: int) -> Shape:
@@ -412,12 +408,10 @@ def quotient_llt_experiment(
         raise InvalidInputError(f"gamma has length {len(gamma)}, expected {kind.N}")
 
     def ratio(g: Shape) -> Fraction | None:
-        reduced = tuple(a - b for a, b in zip(pi_weight(kind, g), gamma))
-        try:
-            shifted = shape_from_weight(kind, reduced)
-        except InvalidInputError:
+        reduced = tuple(a - b for a, b in zip(_pi(kind, g), gamma))
+        if not in_semigroup(kind, reduced):
             return None
-        return green(kind, p, (), shifted) / green(kind, p, (), g)
+        return green(kind, p, (), _shape(kind, reduced)) / green(kind, p, (), g)
 
     return _drift_trend(_drift_shapes(kind, p, l_max), Fraction(1), ratio)
 
@@ -453,15 +447,14 @@ def _skew_counts(kind: AlgebraKind, mu: Shape, shapes: Sequence[Shape]) -> dict[
     if not mu:
         return {g: f_count(kind, g) for g in shapes}
     counts = dict.fromkeys(shapes, 0)
-    inside = [g for g in counts if contains(kind, g, mu)]
-    if not inside:
-        return counts
-    union = shape_from_weight(kind, [max(c) for c in zip(*(pi_weight(kind, g) for g in inside))])
+    start, tops = _pi(kind, mu), {g: _pi(kind, g) for g in counts}
+    inside = [g for g in counts if all(map(le, start, tops[g]))]
+    union = tuple(map(max, zip(*(tops[g] for g in inside))))
     wanted: dict[int, list[Shape]] = {}
     for g in inside:
         wanted.setdefault(shape_size(g) - shape_size(mu), []).append(g)
-    for level, frontier in enumerate(_chain_levels(kind, mu, union)):
+    for level, frontier in enumerate(_levels(kind, start, (1,) * kind.N, union)):
         for g in wanted.pop(level, ()):
-            counts[g] = frontier.get(g, 0)
+            counts[g] = frontier.get(tops[g], 0)
         if not wanted:
             return counts

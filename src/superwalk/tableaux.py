@@ -38,6 +38,7 @@ from .kinds import (
     Shape,
     Weight,
     Word,
+    _pi,
     _steps,
     check_shape,
     check_word,
@@ -610,7 +611,7 @@ def enumerate_standard(
     kind, walked in π-weights by ``kinds._steps`` below π(outer)."""
     outer = check_shape(kind, outer)
     inner = check_shape(kind, inner)
-    top, base = pi_weight(kind, outer), pi_weight(kind, inner)
+    top, base = _pi(kind, outer), _pi(kind, inner)
     out: list[StandardTableau] = []
     coords: list[int] = []
 

@@ -12,6 +12,7 @@ from superwalk.kinds import (
     check_shape,
     check_word,
     contains,
+    in_semigroup,
     pi_weight,
     shape_size,
     successors,
@@ -80,6 +81,35 @@ def enumerate_standard_by_shapes(kind: AlgebraKind, outer, inner=()) -> list[tup
 
     rec(inner)
     return out
+
+
+# The two graded loops as they were before one walk in pi-weights served
+# both: chain counts shape by shape through ``successors`` and ``contains``,
+# and stay masses in Fractions, each move tested whole by ``in_semigroup``.
+
+def chain_levels_by_shapes(kind: AlgebraKind, inner, outer=None):
+    frontier = {inner: 1}
+    while True:
+        yield frontier
+        nxt = {}
+        for nu, cnt in frontier.items():
+            for step in successors(kind, nu):
+                if outer is None or contains(kind, outer, step):
+                    nxt[step] = nxt.get(step, 0) + cnt
+        frontier = nxt
+
+
+def stay_levels_by_moves(kind: AlgebraKind, lam, p):
+    frontier = {pi_weight(kind, lam): Fraction(1)}
+    while True:
+        yield frontier
+        nxt = {}
+        for w, mass in frontier.items():
+            for i, prob in enumerate(p.values):
+                cand = w[:i] + (w[i] + 1,) + w[i + 1:]
+                if in_semigroup(kind, cand):
+                    nxt[cand] = nxt.get(cand, Fraction(0)) + mass * prob
+        frontier = nxt
 
 
 def insertion_trace(kind: AlgebraKind, word: Sequence[int]) -> list[Tableau]:

@@ -38,7 +38,7 @@ from superwalk import (
     successors,
     weight_of,
 )
-from superwalk.kinds import check_shape, shape_size
+from superwalk.kinds import _steps, check_shape, shape_size
 from superwalk.markov import conditioned_step_kernel, pi_walk
 from superwalk.multiplicities import shapes_of_size
 from superwalk.simulate import (
@@ -346,6 +346,28 @@ def test_integer_points_are_shapes():
             except InvalidInputError:
                 ok = False
             assert member == ok
+
+
+# gl(3), q(4), gl(2,2), gl(1,3) and gl(3,1): every block shape of the hook rule
+LOCAL_RULE_KINDS = (
+    AlgebraKind.empty(3), AlgebraKind.strict(4), KH22, AlgebraKind.hook(1, 3),
+    AlgebraKind.hook(3, 1),
+)
+
+
+@pytest.mark.parametrize("kind", LOCAL_RULE_KINDS, ids=AlgebraKind.describe)
+def test_steps_run_the_local_tests_in_semigroup_conjoins(kind):
+    # the points of C with at most 8 boxes are the pi-weights of the valid
+    # shapes, and none has a negative coordinate; from each, _steps keeps a
+    # move iff the whole vector is in C
+    points = [w for w in product(range(-1, 9), repeat=kind.N)
+              if sum(w) <= 8 and in_semigroup(kind, w)]
+    shapes = [lam for k in range(9) for lam in _all_partitions(k, 8) if is_valid_shape(kind, lam)]
+    assert sorted(points) == sorted(pi_weight(kind, lam) for lam in shapes)
+    for w in points:
+        for step in (1, -1):
+            moves = [(i, w[:i] + (w[i] + step,) + w[i + 1:]) for i in range(kind.N)]
+            assert list(_steps(kind, w, step)) == [(i, c) for i, c in moves if in_semigroup(kind, c)]
 
 
 @pytest.mark.parametrize("letter", [1.5, 2.0, True, Fraction(2), "2", None])

@@ -1,6 +1,6 @@
 """Kernels, Doob transforms, Green functions and stay probabilities.
 
-``exit-prob`` reads every row of its table from one pass of the stay DP;
+``exit-prob`` reads every row of its table from one pass of the graded walk;
 one ``stay_probability_truncated`` call per horizon is its oracle.
 """
 
@@ -33,8 +33,8 @@ from superwalk import (
 )
 from superwalk.characters import character_polynomial
 from superwalk.cli import main
-from superwalk.kinds import check_shape, contains, format_rational, pi_weight, sub_weights
-from superwalk.markov import _stay_levels, conditioned_step_kernel
+from superwalk.kinds import _levels, check_shape, contains, format_rational, pi_weight, sub_weights
+from superwalk.markov import conditioned_step_kernel
 from superwalk.simulate import (
     RngStream,
     drift_shape,
@@ -44,7 +44,7 @@ from superwalk.simulate import (
 )
 from superwalk.suites import condition_points, shapes_up_to
 
-from oracles import added_coordinate
+from oracles import added_coordinate, stay_levels_by_moves
 
 KE2 = AlgebraKind.empty(2)
 KS2 = AlgebraKind.strict(2)
@@ -330,9 +330,20 @@ def test_open_cone_formulas_agree():
 
 def _stay_table(kind, lam, p, horizon):
     """Truncated stay probabilities at horizons 0 to ``horizon``, all read
-    from one pass of the stay DP."""
-    levels = islice(_stay_levels(kind, lam, p), horizon + 1)
+    from one pass of the graded walk."""
+    levels = islice(_levels(kind, pi_weight(kind, lam), p.values), horizon + 1)
     return [sum(level.values(), Fraction(0)) for level in levels]
+
+
+@pytest.mark.parametrize("kind", (AlgebraKind.empty(3), KS3, AlgebraKind.hook(2, 2)),
+                         ids=AlgebraKind.describe)
+def test_level_walk_weighs_stays_like_the_fraction_loop(kind):
+    p = condition_points(kind)[0]
+    for lam in shapes_up_to(kind, 2):
+        walk = _levels(kind, pi_weight(kind, lam), p.values)
+        oracle = stay_levels_by_moves(kind, lam, p)
+        for _, level, expected in zip(range(13), walk, oracle):
+            assert level == expected
 
 
 def test_truncated_stay_bracket():
@@ -414,6 +425,29 @@ def test_conditioned_step_kernel_converges_to_pi_shape():
             assert gap < previous
         previous = gap
     assert previous < 1e-3
+
+
+# Without drift psi / nabla is not defined, but the walk conditioned to stay
+# is still the Pitman image (O'Connell and Yor 2002; König, O'Connell and
+# Roch 2002), so the rows conditioned on R more steps approach pi_shape's.
+# The largest entry error decays like 1/R: R * error read 0.25 for gl(2) and
+# 0.66-0.68 for gl(3), and doubling R gives ratios of 0.505 and 0.517.
+@pytest.mark.parametrize("kind,mu,horizons,r_times_error", [
+    (KE2, (1,), (50, 100), (0.2, 0.3)),
+    (KE3, (2, 1), (25, 50), (0.6, 0.75)),
+], ids=["gl(2)", "gl(3)"])
+def test_conditioned_rows_approach_pi_shape_at_the_uniform_law(kind, mu, horizons, r_times_error):
+    p = ProbVector(kind, (Fraction(1, kind.N),) * kind.N)
+    target = dict(pi_shape(kind, p).successors(mu))
+    errors = []
+    for remaining in horizons:
+        row = dict(conditioned_step_kernel(kind, p, remaining).successors(mu))
+        assert row.keys() == target.keys()
+        errors.append(max(abs(row[lam] - target[lam]) for lam in target))
+        low, high = r_times_error
+        assert low < remaining * errors[-1] < high
+    # error(2R) / error(R) lies within 0.45 to 0.55
+    assert Fraction(45, 100) < errors[1] / errors[0] < Fraction(55, 100)
 
 
 # the oracle below asks for each shape's stay many times, as a successor of

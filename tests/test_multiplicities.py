@@ -26,7 +26,7 @@ from superwalk import (
     verify_m_le_K,
 )
 from superwalk.characters import SparseCharacter, character_value
-from superwalk.kinds import sub_weights
+from superwalk.kinds import _levels, _shape, sub_weights
 from superwalk.multiplicities import (
     _decompose_greedy,
     chain_counts,
@@ -39,6 +39,7 @@ from superwalk.suites import condition_points, shapes_up_to, suite_dec_skew, sui
 from superwalk.tableaux import DEFAULT_NODE_BUDGET
 
 from oracles import (
+    chain_levels_by_shapes,
     dec_skew_per_lambda,
     lr_enumerate_then_filter,
     lr_hook_per_lambda,
@@ -88,6 +89,23 @@ def test_f_count_closed_forms_match_chain_dp(kind):
     lam = drift_shape(kind, condition_points(kind)[0], 30)
     assert sum(lam) >= 30
     assert f_count(kind, lam) == chain_counts(kind, (), sum(lam), lam)[lam]
+
+
+# gl(3), q(4), gl(2,2), gl(1,3) and gl(3,1); (4,3,1) is valid for each
+LEVEL_WALK_KINDS = (
+    KE3, AlgebraKind.strict(4), KH22, AlgebraKind.hook(1, 3), AlgebraKind.hook(3, 1),
+)
+
+
+@pytest.mark.parametrize("kind", LEVEL_WALK_KINDS, ids=AlgebraKind.describe)
+def test_level_walk_counts_chains_like_the_shape_loop(kind):
+    for inner in ((), (1,), (2, 1)):
+        for outer in (None, (4, 3, 1)):
+            bound = None if outer is None else pi_weight(kind, outer)
+            walk = _levels(kind, pi_weight(kind, inner), (1,) * kind.N, bound)
+            oracle = chain_levels_by_shapes(kind, inner, outer)
+            for _, level, expected in zip(range(9 - sum(inner)), walk, oracle):
+                assert {_shape(kind, w): count for w, count in level.items()} == expected
 
 
 def test_total_probability_identity():
@@ -426,15 +444,16 @@ def _drop_one_constituent(true_decompose):
 
 
 def _one_chain_count_off_by_one(true_levels, shape=(2, 1)):
-    def mutant(kind, inner, outer=None):
-        for level in true_levels(kind, inner, outer):
-            yield {lam: count + (lam == shape) for lam, count in level.items()}
+    def mutant(kind, start, weights, bound=None):
+        target = pi_weight(kind, shape)
+        for level in true_levels(kind, start, weights, bound):
+            yield {w: count + (w == target) for w, count in level.items()}
     return mutant
 
 
 @pytest.mark.parametrize("name,make", [
     ("decompose_product", _drop_one_constituent),
-    ("_chain_levels", _one_chain_count_off_by_one),
+    ("_levels", _one_chain_count_off_by_one),
 ])
 def test_tensor_product_suites_fail_like_their_per_lambda_loops(monkeypatch, name, make):
     # both routes read the mutant wherever the library and the suites name it

@@ -478,6 +478,19 @@ def test_shape_chains_from_different_inner_shapes_differ():
     assert StandardTableau(((2, 1),), (2,)) != StandardTableau(((2, 1),), (1, 1))
 
 
+@pytest.mark.parametrize("kind,coords,inner", [
+    (AlgebraKind.empty(3), [1], ()),
+    (AlgebraKind.strict(3), [0, 1], ()),
+    (AlgebraKind.empty(3), [2], (1,)),
+    (AlgebraKind.empty(3), [0], (1, 2)),
+])
+def test_shape_chain_refuses_an_end_outside_the_lattice(kind, coords, inner):
+    # a chain built without its last shape finds it through the checking
+    # shape_from_weight, so the public constructor refuses these
+    with pytest.raises(InvalidInputError):
+        ShapeChain(kind, coords, inner=inner)
+
+
 def test_standard_tableau_fields():
     t = StandardTableau(((1,), (2,)))
     assert t.size == 2
